@@ -1,10 +1,11 @@
 """Affine Dynkin diagrams with Kac labels, twisted and untwisted.
 
-Untwisted diagrams are built from the highest root; twisted shapes are
-transcribed from the classical tables but never trusted: construction
-asserts that the labels are the unique positive null vector of the affine
-Cartan matrix (gcd 1) and that deleting the affine node leaves the
-expected finite type.
+Untwisted diagrams and their labels (1, theta) are built from the highest
+root; twisted shapes and labels are transcribed from the classical tables.
+Neither is trusted blind: construction asserts that the labels are a
+positive gcd-1 null vector of the affine Cartan matrix and that deleting
+the affine node leaves the expected finite type, which together make them
+the unique such vector.
 
 Node numbering: the finite subdiagram obtained by deleting node 0 keeps
 its Bourbaki indices.  For untwisted X_l^(1) node 0 is -theta; for twisted
@@ -16,7 +17,6 @@ it leaves B_l (A_2l^(2)), C_l (A_{2l-1}^(2)), B_l (D_{l+1}^(2)), F_4
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import FrozenSet, List, Optional, Tuple
@@ -74,46 +74,25 @@ class AffineDiagram:
         return tuple(tuple(row) for row in a)
 
 
-def _null_labels(a: Tuple[Tuple[int, ...], ...]) -> Tuple[int, ...]:
-    """Unique positive integer left-null vector of a, normalised to gcd 1."""
-    n = len(a)
-    # Solve x A = 0, i.e. A^T x = 0, by exact Gaussian elimination.
-    m = [[Fraction(a[j][i]) for j in range(n)] for i in range(n)]
-    piv_cols: List[int] = []
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(n):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-        piv_cols.append(col)
-        row += 1
-    free = [c for c in range(n) if c not in piv_cols]
-    if len(free) != 1:
-        raise ValueError("affine Cartan matrix must have a 1-dimensional kernel")
-    x = [Fraction(0)] * n
-    x[free[0]] = Fraction(1)
-    for r, c in enumerate(piv_cols):
-        x[c] = -m[r][free[0]]
-    denom = 1
-    for v in x:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in x]
+def _check_null_labels(a: AffineDiagram) -> None:
+    """Assert that the labels are positive, coprime and a left null vector.
+
+    The finite part is of finite type (asserted separately), so its Cartan
+    block is nonsingular and the kernel is at most one-dimensional: these
+    checks then prove the labels are *the* Kac labels.
+    """
+    labels, m = a.labels, a.cartan_matrix()
+    n = len(labels)
+    if len(a.nodes) != n or any(x <= 0 for x in labels):
+        raise AssertionError("Kac labels must be one positive integer per node")
     g = 0
-    for v in ints:
-        g = gcd(g, v)
-    ints = [v // g for v in ints]
-    if any(v <= 0 for v in ints):
-        ints = [-v for v in ints]
-    if any(v <= 0 for v in ints):
-        raise ValueError("null vector is not positive")
-    return tuple(ints)
+    for x in labels:
+        g = gcd(g, x)
+    if g != 1:
+        raise AssertionError("Kac labels must have gcd 1")
+    for j in range(n):
+        if sum(labels[i] * m[i][j] for i in range(n)) != 0:
+            raise AssertionError("Kac labels are not a null vector")
 
 
 def _untwisted_edges(base: CartanType) -> List[Edge]:
@@ -140,42 +119,55 @@ def _untwisted_edges(base: CartanType) -> List[Edge]:
     return edges
 
 
-def _twisted_shape(base: CartanType, twist: int) -> Tuple[List[int], List[Edge], CartanType]:
-    """Transcribed twisted shapes; returns (nodes, edges, fixed subtype)."""
+def _twisted_shape(
+    base: CartanType, twist: int
+) -> Tuple[List[int], List[Edge], Tuple[int, ...], CartanType]:
+    """Transcribed twisted shapes (Kac, Tables Aff 2/3); returns (nodes,
+    edges, labels, fixed subtype)."""
     f, n = base.family, base.rank
     if twist == 3:
         if (f, n) != ("D", 4):
             raise ValueError("no such twisted type")
-        return [0, 1, 2], [Edge(0, 1, 1), Edge(1, 2, 3, 1)], CartanType("G", 2)
+        return [0, 1, 2], [Edge(0, 1, 1), Edge(1, 2, 3, 1)], (1, 2, 1), CartanType("G", 2)
     if twist != 2:
         raise ValueError("no such twisted type")
     if f == "A" and n == 2:
-        return [0, 1], [Edge(0, 1, 4, 1)], CartanType("A", 1)
+        return [0, 1], [Edge(0, 1, 4, 1)], (1, 2), CartanType("A", 1)
     if f == "A" and n == 3:
         # A_3^(2) = D_3^(2): chain with outward arrows, fixed type C_2.
-        return [0, 1, 2], [Edge(0, 1, 2, 0), Edge(1, 2, 2, 2)], CartanType("B", 2)
+        return [0, 1, 2], [Edge(0, 1, 2, 0), Edge(1, 2, 2, 2)], (1, 1, 1), CartanType("B", 2)
     if f == "A" and n >= 4 and n % 2 == 0:
         l = n // 2
         edges = [Edge(0, 1, 2, 1)]
         edges += [Edge(i, i + 1, 1) for i in range(1, l - 1)]
         edges.append(Edge(l - 1, l, 2, l))
-        return list(range(l + 1)), edges, CartanType("B", l)
+        return list(range(l + 1)), edges, (1,) + (2,) * l, CartanType("B", l)
     if f == "A" and n >= 5 and n % 2 == 1:
         l = (n + 1) // 2
         edges = [Edge(0, 2, 1), Edge(1, 2, 1)]
         edges += [Edge(i, i + 1, 1) for i in range(2, l - 1)]
         edges.append(Edge(l - 1, l, 2, l - 1))
-        return list(range(l + 1)), edges, CartanType("C", l)
+        return list(range(l + 1)), edges, (1, 1) + (2,) * (l - 2) + (1,), CartanType("C", l)
     if f == "D" and n >= 3:
         l = n - 1
         edges = [Edge(0, 1, 2, 0)]
         edges += [Edge(i, i + 1, 1) for i in range(1, l - 1)]
         edges.append(Edge(l - 1, l, 2, l))
-        return list(range(l + 1)), edges, CartanType("B", l)
+        return list(range(l + 1)), edges, (1,) * (l + 1), CartanType("B", l)
     if f == "E" and n == 6:
         edges = [Edge(1, 2, 1), Edge(2, 3, 2, 3), Edge(3, 4, 1), Edge(0, 4, 1)]
-        return [0, 1, 2, 3, 4], edges, CartanType("F", 4)
+        return [0, 1, 2, 3, 4], edges, (1, 1, 2, 3, 2), CartanType("F", 4)
     raise ValueError("no such twisted type")
+
+
+def affine_node_count(family: str, rank: int, twist: int) -> int:
+    """Node count of family_rank^(twist) without building it: one more than
+    the rank of the finite part left by deleting node 0."""
+    if twist == 1:
+        return rank + 1
+    if twist == 3:
+        return 3  # D_4^(3), finite part G_2
+    return {"A": (rank + 1) // 2, "D": rank - 1, "E": 4}[family] + 1
 
 
 @lru_cache(maxsize=None)
@@ -184,20 +176,13 @@ def affine_diagram(base: CartanType, twist: int = 1) -> AffineDiagram:
     if twist == 1:
         nodes = list(range(base.rank + 1))
         edges = _untwisted_edges(base)
+        labels = (1,) + highest_root(base).coeffs
         expected_finite = base
     else:
-        nodes, edges, expected_finite = _twisted_shape(base, twist)
-    diag = AffineDiagram(base, twist, tuple(nodes), frozenset(edges), ())
-    labels = _null_labels(diag.cartan_matrix())
+        nodes, edges, labels, expected_finite = _twisted_shape(base, twist)
     diag = AffineDiagram(base, twist, tuple(nodes), frozenset(edges), labels)
-
-    a = diag.cartan_matrix()
-    n = len(nodes)
-    for j in range(n):
-        if sum(labels[i] * a[i][j] for i in range(n)) != 0:
-            raise AssertionError("Kac labels are not a null vector")
-    finite = diag.finite_part()
-    comps = classify(finite)
+    _check_null_labels(diag)
+    comps = classify(diag.finite_part())
     if twist == 1:
         # classify emits the canonical member of a coincidence (C_2 -> B_2,
         # D_3 -> A_3), so compare up to those identifications.
@@ -212,10 +197,8 @@ def affine_diagram(base: CartanType, twist: int = 1) -> AffineDiagram:
 
 
 def kac_labels(a: AffineDiagram) -> Tuple[int, ...]:
-    """The stored labels, re-derived from the Cartan matrix and asserted."""
-    fresh = _null_labels(a.cartan_matrix())
-    if fresh != a.labels:
-        raise AssertionError("stored labels disagree with the null vector")
+    """The stored labels, re-checked as the positive gcd-1 null vector."""
+    _check_null_labels(a)
     return a.labels
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .affine import MarkedKacDiagram, affine_diagram, validate_kac_marking
+from .affine import MarkedKacDiagram, affine_diagram, affine_node_count, validate_kac_marking
 from .roots import CartanType
 
 RESTRICTED_FAMILIES = "ABCDEFG" + "?"  # plus the non-reduced BC
@@ -114,6 +114,34 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+# The Kac diagram of each parametrised family at parameter n, as (base
+# family, base rank, twist).  The builders take their base from here, and
+# enumeration reads node counts off it before building any row.
+_KAC_SHAPES: Dict[str, Callable[[int], Tuple[str, int, int]]] = {
+    **{f"group-{f}": (lambda n, f=f: (f, n, 1)) for f in "ABCDEFG"},
+    "AI": lambda n: ("A", 2 * n, 2),
+    "AI-even": lambda n: ("A", 2 * n - 1, 2),
+    "AII": lambda n: ("A", 2 * n - 1, 2),
+    "BI": lambda n: ("B", n, 1),
+    "BII": lambda n: ("B", n, 1),
+    "CII": lambda n: ("C", n, 1),
+    "DI-odd": lambda n: ("D", n, 2),
+    "DI-even": lambda n: ("D", n, 1),
+    "DII": lambda n: ("D", n, 2),
+    "herm-AIII": lambda n: ("A", n - 1, 1),
+    "herm-BI": lambda n: ("B", n, 1),
+    "herm-CI": lambda n: ("C", n, 1),
+    "herm-DI": lambda n: ("D", n, 1),
+    "herm-DIII-odd": lambda n: ("D", 2 * n + 1, 1),
+    "herm-DIII-even": lambda n: ("D", 2 * n, 1),
+}
+
+
+def _kac(label: str, n: int) -> Tuple[CartanType, int]:
+    fam, rank, twist = _KAC_SHAPES[label](n)
+    return CartanType(fam, rank), twist
+
+
 # ---------------------------------------------------------------------------
 # Group type (one row per simple adjoint H)
 
@@ -135,12 +163,11 @@ def _group_entry(fam: str, n: int) -> SymmetricSpaceEntry:
         _require(n >= _GROUP_MIN_RANK[fam],
                  f"group-{fam} requires n >= {_GROUP_MIN_RANK[fam]} "
                  f"(smaller ranks duplicate another family)")
-    t = CartanType(fam, n)
     h = _GROUP_NAMES[fam](n)
     proj = 2 if (fam, n) == ("A", 1) else None
     return _entry(
         f"group-{fam}", {"n": n} if fam in "ABCD" or fam == "E" else {},
-        "group", f"{h} x {h}", h, t, 1, (0,),
+        "group", f"{h} x {h}", h, *_kac(f"group-{fam}", n), (0,),
         RestrictedType(fam, n), proj_dim=proj,
     )
 
@@ -152,20 +179,20 @@ def _group_entry(fam: str, n: int) -> SymmetricSpaceEntry:
 def _ai(n: int) -> SymmetricSpaceEntry:
     _require(n >= 1, "AI requires n >= 1 (SL_{2n+1}/SO_{2n+1})")
     return _entry("AI", {"n": n}, "simple", f"SL_{2 * n + 1}", f"SO_{2 * n + 1}",
-                  CartanType("A", 2 * n), 2, (0,), RestrictedType("A", 2 * n))
+                  *_kac("AI", n), (0,), RestrictedType("A", 2 * n))
 
 
 def _ai_even(n: int) -> SymmetricSpaceEntry:
     _require(n >= 2, "AI-even requires n >= 2 (SL_{2n}/SO_{2n}; n=1 is Hermitian AI)")
     white = 1 if n == 2 else n  # A_3^(2) degenerates to the three-node chain
     return _entry("AI-even", {"n": n}, "simple", f"SL_{2 * n}", f"SO_{2 * n}",
-                  CartanType("A", 2 * n - 1), 2, (white,), RestrictedType("A", 2 * n - 1))
+                  *_kac("AI-even", n), (white,), RestrictedType("A", 2 * n - 1))
 
 
 def _aii(n: int) -> SymmetricSpaceEntry:
     _require(n >= 3, "AII requires n >= 3 (SL_4/Sp_4 duplicates DII at n=3)")
     return _entry("AII", {"n": n}, "simple", f"SL_{2 * n}", f"Sp_{2 * n}",
-                  CartanType("A", 2 * n - 1), 2, (0,), RestrictedType("A", n - 1))
+                  *_kac("AII", n), (0,), RestrictedType("A", n - 1))
 
 
 def _bi(n: int, m: int) -> SymmetricSpaceEntry:
@@ -178,13 +205,13 @@ def _bi(n: int, m: int) -> SymmetricSpaceEntry:
     rest = RestrictedType("B", min(m, 2 * n + 1 - m))
     return _entry("BI", {"n": n, "m": m_even}, "simple", f"SO_{2 * n + 1}",
                   f"S(O_{m_even} x O_{2 * n + 1 - m_even})",
-                  CartanType("B", n), 1, (j,), rest, notes=(NOTE_QUADRIC,))
+                  *_kac("BI", n), (j,), rest, notes=(NOTE_QUADRIC,))
 
 
 def _bii(n: int) -> SymmetricSpaceEntry:
     _require(n >= 2, "BII requires n >= 2 (n = 1 is the Hermitian AI row)")
     return _entry("BII", {"n": n}, "simple", f"SO_{2 * n + 1}", f"O_{2 * n}",
-                  CartanType("B", n), 1, (n,), RestrictedType("A", 1),
+                  *_kac("BII", n), (n,), RestrictedType("A", 1),
                   proj_dim=2 * n - 1)
 
 
@@ -195,7 +222,7 @@ def _cii(n: int, m: int) -> SymmetricSpaceEntry:
     rest = RestrictedType("C", m) if 2 * m == n else RestrictedType("BC", m)
     return _entry("CII", {"n": n, "m": m}, "simple", f"Sp_{2 * n}",
                   f"Sp_{2 * m} x Sp_{2 * (n - m)}",
-                  CartanType("C", n), 1, (m,), rest)
+                  *_kac("CII", n), (m,), rest)
 
 
 def _di_odd(n: int, m: int) -> SymmetricSpaceEntry:
@@ -205,7 +232,7 @@ def _di_odd(n: int, m: int) -> SymmetricSpaceEntry:
     rest = RestrictedType("B", min(2 * m + 1, 2 * (n - m) - 1))
     return _entry("DI-odd", {"n": n, "m": m}, "simple", f"SO_{2 * n}",
                   f"S(O_{2 * m + 1} x O_{2 * (n - m) - 1})",
-                  CartanType("D", n), 2, (m,), rest, notes=(NOTE_QUADRIC,))
+                  *_kac("DI-odd", n), (m,), rest, notes=(NOTE_QUADRIC,))
 
 
 def _di_even(n: int, m: int) -> SymmetricSpaceEntry:
@@ -216,13 +243,13 @@ def _di_even(n: int, m: int) -> SymmetricSpaceEntry:
     rest = RestrictedType("D", n) if 2 * m == n else RestrictedType("B", 2 * m)
     return _entry("DI-even", {"n": n, "m": m}, "simple", f"SO_{2 * n}",
                   f"S(O_{2 * m} x O_{2 * (n - m)})",
-                  CartanType("D", n), 1, (m,), rest, notes=(NOTE_QUADRIC,))
+                  *_kac("DI-even", n), (m,), rest, notes=(NOTE_QUADRIC,))
 
 
 def _dii(n: int) -> SymmetricSpaceEntry:
     _require(n >= 3, "DII requires n >= 3")
     return _entry("DII", {"n": n}, "simple", f"SO_{2 * n}", f"O_{2 * n - 1}",
-                  CartanType("D", n), 2, (0,), RestrictedType("A", 1),
+                  *_kac("DII", n), (0,), RestrictedType("A", 1),
                   proj_dim=2 * n - 2)
 
 
@@ -235,26 +262,26 @@ def _herm_aiii(n: int, m: int) -> SymmetricSpaceEntry:
     rest = RestrictedType("BC", m) if exceptional else RestrictedType("C", m)
     return _entry("herm-AIII", {"n": n, "m": m}, kind, f"PGL_{n}",
                   f"P(GL_{m} x GL_{n - m})",
-                  CartanType("A", n - 1), 1, (0, m), rest)
+                  *_kac("herm-AIII", n), (0, m), rest)
 
 
 def _herm_bi(n: int) -> SymmetricSpaceEntry:
     _require(n >= 3, "herm-BI requires n >= 3 (PO_5/P(O_2 x O_3) duplicates herm-CI)")
     return _entry("herm-BI", {"n": n}, "hermitian-nonexceptional", f"PO_{2 * n + 1}",
-                  f"P(O_2 x O_{2 * n - 1})", CartanType("B", n), 1, (0, 1),
+                  f"P(O_2 x O_{2 * n - 1})", *_kac("herm-BI", n), (0, 1),
                   RestrictedType("B", 2))
 
 
 def _herm_ci(n: int) -> SymmetricSpaceEntry:
     _require(n >= 2, "herm-CI requires n >= 2")
     return _entry("herm-CI", {"n": n}, "hermitian-nonexceptional", f"PSp_{2 * n}",
-                  f"PGL_{n}", CartanType("C", n), 1, (0, n), RestrictedType("C", n))
+                  f"PGL_{n}", *_kac("herm-CI", n), (0, n), RestrictedType("C", n))
 
 
 def _herm_di(n: int) -> SymmetricSpaceEntry:
     _require(n >= 5, "herm-DI requires n >= 5 (PO_8/P(O_2 x O_6) duplicates herm-DIII by triality)")
     return _entry("herm-DI", {"n": n}, "hermitian-nonexceptional", f"PO_{2 * n}",
-                  f"P(O_2 x O_{2 * n - 2})", CartanType("D", n), 1, (0, 1),
+                  f"P(O_2 x O_{2 * n - 2})", *_kac("herm-DI", n), (0, 1),
                   RestrictedType("B", 2))
 
 
@@ -262,7 +289,7 @@ def _herm_diii_odd(n: int) -> SymmetricSpaceEntry:
     _require(n >= 2, "herm-DIII-odd requires n >= 2")
     rank = 2 * n + 1
     return _entry("herm-DIII-odd", {"n": n}, "hermitian-exceptional", f"PO_{4 * n + 2}",
-                  f"PGL_{2 * n + 1}", CartanType("D", rank), 1, (0, rank),
+                  f"PGL_{2 * n + 1}", *_kac("herm-DIII-odd", n), (0, rank),
                   RestrictedType("BC", n))
 
 
@@ -270,7 +297,7 @@ def _herm_diii_even(n: int) -> SymmetricSpaceEntry:
     _require(n >= 2, "herm-DIII-even requires n >= 2")
     rank = 2 * n
     return _entry("herm-DIII-even", {"n": n}, "hermitian-nonexceptional", f"PO_{4 * n}",
-                  f"PGL_{2 * n}", CartanType("D", rank), 1, (0, rank),
+                  f"PGL_{2 * n}", *_kac("herm-DIII-even", n), (0, rank),
                   RestrictedType("C", n))
 
 
@@ -389,41 +416,31 @@ def _family_instances(label: str, max_nodes: int) -> Iterable[SymmetricSpaceEntr
         if e.num_kac_nodes <= max_nodes:
             yield e
         return
-    if label in _N_FAMILIES:
-        build = _N_FAMILIES[label]
-        n = 1
-        while True:
+    # Node counts grow with n and do not depend on m, so the cut on n is
+    # made before any row is built.
+    build = _N_FAMILIES.get(label) or _NM_FAMILIES[label]
+    n = 1
+    while affine_node_count(*_KAC_SHAPES[label](n)) <= max_nodes:
+        args = [(n,)] if label in _N_FAMILIES else [(n, m) for m in range(1, 2 * n + 2)]
+        rows: Dict[Tuple[Tuple[str, int], ...], SymmetricSpaceEntry] = {}
+        for a in args:
             try:
-                e = build(n)
-            except ValueError:
-                n += 1
-                if n > max_nodes + 2:
-                    return
-                continue
-            if e.num_kac_nodes > max_nodes:
-                return
-            yield e
-            n += 1
-        return
-    build2 = _NM_FAMILIES[label]
-    for n in range(1, max_nodes + 2):
-        seen = set()
-        for m in range(1, 2 * n + 2):
-            try:
-                e = build2(n, m)
+                e = build(*a)
             except ValueError:
                 continue
-            if e.num_kac_nodes > max_nodes or e.params in seen:
-                continue
-            seen.add(e.params)
-            yield e
+            rows.setdefault(e.params, e)  # m and its mirror give one row
+        yield from rows.values()
+        n += 1
+
+
+MAX_RANK = 100
 
 
 def enumerate_entries(max_rank: int) -> Tuple[SymmetricSpaceEntry, ...]:
     """Every family at every admissible parameter choice whose Kac diagram
     has at most max_rank + 1 nodes, in deterministic order."""
-    if max_rank < 2:
-        raise ValueError("enumerate requires max_rank >= 2")
+    if not 2 <= max_rank <= MAX_RANK:
+        raise ValueError(f"enumerate requires 2 <= max_rank <= {MAX_RANK}")
     out: List[SymmetricSpaceEntry] = []
     for label in ALL_LABELS:
         out.extend(_family_instances(label, max_rank + 1))

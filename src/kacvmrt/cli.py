@@ -13,7 +13,7 @@ import sys
 from typing import List, Optional
 
 from . import __version__
-from .atlas import enumerate_entries, lookup
+from .atlas import MAX_RANK, enumerate_entries, lookup
 from .diagrams import MarkedDynkinDiagram, parabolic_dimension
 from .engine import FOLDING_PAIRS, fold, identify, vmrt, z_dimension, z_orbit_diagram
 from .render import FORMATS, ParseError, parse, render, to_canonical_text
@@ -102,12 +102,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ValueError, AssertionError) as ex:
+    except ValueError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
+    except AssertionError as ex:
+        # A broken internal invariant, not bad input.
+        print(f"internal error: {ex}", file=sys.stderr)
+        return 3
 
 
 def _dispatch(args) -> int:
+    max_rank = getattr(args, "max_rank", None)
+    if max_rank is not None and not 2 <= max_rank <= MAX_RANK:
+        raise ValueError(f"--max-rank must lie between 2 and {MAX_RANK}")
+
     if args.command == "list":
         for e in enumerate_entries(args.max_rank):
             print(f"{e.name:24s} {e.kind:26s} {e.g_desc} / {e.h_desc}"

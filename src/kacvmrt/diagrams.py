@@ -70,8 +70,20 @@ class DynkinDiagram:
                 return e
         return None
 
+    def adjacency(self) -> Dict[int, Dict[int, Edge]]:
+        """v -> {neighbour: joining edge}, in one pass over the edges.
+
+        Built per call and never stored: diagrams are many and short-lived,
+        and a per-instance copy would outweigh the diagram itself.
+        """
+        adj: Dict[int, Dict[int, Edge]] = {v: {} for v in self.nodes}
+        for e in self.edges:
+            adj[e.a][e.b] = adj[e.b][e.a] = e
+        return adj
+
     def components(self) -> Tuple[Tuple[int, ...], ...]:
         """Connected components as sorted node tuples, ordered by least node."""
+        adj = self.adjacency()
         seen: set = set()
         comps: List[Tuple[int, ...]] = []
         for start in self.nodes:
@@ -83,7 +95,7 @@ class DynkinDiagram:
                 if v in comp:
                     continue
                 comp.add(v)
-                stack.extend(self.neighbors(v))
+                stack.extend(adj[v])
             seen |= comp
             comps.append(tuple(sorted(comp)))
         return tuple(comps)
@@ -125,12 +137,19 @@ def _classify_component(d: DynkinDiagram, comp: Tuple[int, ...]) -> Tuple[Cartan
     Deterministic: ties between symmetric choices are broken by node id.
     """
     sub = d.restrict(comp)
+    adj = sub.adjacency()
     n = len(comp)
     if n == 1:
         return CartanType("A", 1), {comp[0]: 1}
 
+    if len(sub.edges) != n - 1:
+        # Finite types are trees.  Checking first keeps the walks below from
+        # going round a cycle for ever, and leaves no parallel edges, so adj
+        # holds every edge.
+        raise UnrecognizedDiagram("cycle is not a finite type")
+
     multi = sorted((e for e in sub.edges if e.mult >= 2), key=lambda e: (e.a, e.b))
-    deg = {v: len(sub.neighbors(v)) for v in comp}
+    deg = {v: len(adj[v]) for v in comp}
     if any(e.mult >= 4 for e in multi):
         raise UnrecognizedDiagram("quadruple bond is not a finite type")
 
@@ -144,9 +163,6 @@ def _classify_component(d: DynkinDiagram, comp: Tuple[int, ...]) -> Tuple[Cartan
         if len(multi) > 1 or any(v for v in comp if deg[v] > 2):
             raise UnrecognizedDiagram("not a finite type (bad double bonds)")
         # A chain with one double edge: B, C or F4.
-        ends = sorted(v for v in comp if deg[v] == 1)
-        if len(ends) != 2:
-            raise UnrecognizedDiagram("cycle with a double bond")
         e = multi[0]
         lng = e.other(e.short)
         if n == 2:
@@ -157,8 +173,8 @@ def _classify_component(d: DynkinDiagram, comp: Tuple[int, ...]) -> Tuple[Cartan
                 raise UnrecognizedDiagram("interior double bond only occurs in F4")
             # F4: long side of the double edge is node 2, short side node 3.
             mapping = {lng: 2, e.short: 3}
-            (outer_long,) = [v for v in sub.neighbors(lng) if v != e.short]
-            (outer_short,) = [v for v in sub.neighbors(e.short) if v != lng]
+            (outer_long,) = [v for v in adj[lng] if v != e.short]
+            (outer_short,) = [v for v in adj[e.short] if v != lng]
             mapping[outer_long] = 1
             mapping[outer_short] = 4
             return CartanType("F", 4), mapping
@@ -172,7 +188,7 @@ def _classify_component(d: DynkinDiagram, comp: Tuple[int, ...]) -> Tuple[Cartan
         while cur is not None:
             mapping[cur] = idx
             idx -= 1
-            nbrs = [v for v in sub.neighbors(cur) if v != prev]
+            nbrs = [v for v in adj[cur] if v != prev]
             prev, cur = cur, (nbrs[0] if nbrs else None)
         return CartanType(fam, n), mapping
 
@@ -182,24 +198,22 @@ def _classify_component(d: DynkinDiagram, comp: Tuple[int, ...]) -> Tuple[Cartan
         raise UnrecognizedDiagram("not a finite simply-laced type")
     if not branch:
         ends = sorted(v for v in comp if deg[v] == 1)
-        if len(ends) != 2:
-            raise UnrecognizedDiagram("cycle is not a finite type")
         mapping = {}
         prev, cur, idx = None, ends[0], 1
         while cur is not None:
             mapping[cur] = idx
             idx += 1
-            nbrs = [v for v in sub.neighbors(cur) if v != prev]
+            nbrs = [v for v in adj[cur] if v != prev]
             prev, cur = cur, (nbrs[0] if nbrs else None)
         return CartanType("A", n), mapping
 
     c = branch[0]
     arms: List[List[int]] = []
-    for first in sub.neighbors(c):
+    for first in adj[c]:
         arm, prev, cur = [], c, first
         while cur is not None:
             arm.append(cur)
-            nbrs = [v for v in sub.neighbors(cur) if v != prev]
+            nbrs = [v for v in adj[cur] if v != prev]
             prev, cur = cur, (nbrs[0] if nbrs else None)
         arms.append(arm)
     arms.sort(key=lambda a: (len(a), a[-1]))
@@ -264,25 +278,22 @@ def diagram_automorphisms(t: CartanType) -> Tuple[Dict[int, int], ...]:
     return (ident,)
 
 
+def _num_positive_roots(d: DynkinDiagram) -> int:
+    return sum(t.num_positive_roots for t, _ in classify(d))
+
+
 def parabolic_dimension(d: DynkinDiagram, marked: Iterable[int]) -> int:
     """Number of positive roots supported on at least one marked node.
 
-    This is dim G/P for the parabolic P crossing `marked`; components
-    contribute independently.
+    This is dim G/P for the parabolic P crossing `marked`, counted as
+    |Phi+(G)| - |Phi+(L)| with the Levi L the diagram minus the marked
+    nodes (Bourbaki's root counts per simple factor).
     """
     marked_set = set(marked)
     unknown = marked_set - set(d.nodes)
     if unknown:
         raise ValueError(f"node {sorted(unknown)[0]} not in diagram")
-    total = 0
-    for (t, mapping), comp in zip(classify(d), d.components()):
-        idx = {mapping[v] for v in marked_set if v in set(comp)}
-        if not idx:
-            continue
-        for r in positive_roots(t):
-            if any(i in idx for i in r.support()):
-                total += 1
-    return total
+    return _num_positive_roots(d) - _num_positive_roots(d.delete(marked_set))
 
 
 def graded_dimensions(d: DynkinDiagram, marked: Iterable[int]) -> Dict[int, int]:
@@ -384,12 +395,13 @@ def find_isomorphism(
     if len(d1.nodes) != len(d2.nodes) or len(d1.edges) != len(d2.edges):
         return None
 
-    def profile(d: DynkinDiagram, tags: Dict[int, object], v: int):
-        sig = sorted(_edge_signature(e, v) for e in d.edges if v in (e.a, e.b))
-        return (tags.get(v), tuple(sig))
+    inc1, inc2 = d1.adjacency(), d2.adjacency()
 
-    p1 = {v: profile(d1, t1, v) for v in d1.nodes}
-    p2 = {v: profile(d2, t2, v) for v in d2.nodes}
+    def profile(inc: Dict[int, Dict[int, Edge]], tags: Dict[int, object], v: int):
+        return (tags.get(v), tuple(sorted(_edge_signature(e, v) for e in inc[v].values())))
+
+    p1 = {v: profile(inc1, t1, v) for v in d1.nodes}
+    p2 = {v: profile(inc2, t2, v) for v in d2.nodes}
     if sorted(map(repr, p1.values())) != sorted(map(repr, p2.values())):
         return None
 
@@ -400,19 +412,26 @@ def find_isomorphism(
     def compatible(v: int, w: int) -> bool:
         if p1[v] != p2[w]:
             return False
-        for u in d1.neighbors(v):
+        for u, e1 in inc1[v].items():
             if u in mapping:
-                e1 = d1.edge_between(u, v)
-                e2 = d2.edge_between(mapping[u], w)
+                e2 = inc2[w].get(mapping[u])
                 if e2 is None or _edge_signature(e1, v) != _edge_signature(e2, w):
                     return False
         return True
+
+    def candidates(v: int) -> Sequence[int]:
+        # The image of v must neighbour the image of any mapped neighbour;
+        # filtering in sorted order keeps the first isomorphism found.
+        for u in inc1[v]:
+            if u in mapping:
+                return sorted(inc2[mapping[u]])
+        return d2.nodes
 
     def extend(i: int) -> bool:
         if i == len(order):
             return True
         v = order[i]
-        for w in sorted(d2.nodes):
+        for w in candidates(v):
             if w in used or not compatible(v, w):
                 continue
             mapping[v] = w

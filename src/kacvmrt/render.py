@@ -331,10 +331,6 @@ def to_canonical_text(d: Diagram) -> str:
     return text
 
 
-def canonical_equal(a: Diagram, b: Diagram) -> bool:
-    return to_canonical_text(a) == to_canonical_text(b)
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 
@@ -367,7 +363,11 @@ class _Builder:
                 self.ann[v] = ann
         return v
 
-    def add_edge(self, u: int, v: int, mult: int, rel: int) -> None:
+    def add_edge(self, u: int, v: int, mult: int, rel: int, pos: int) -> None:
+        """Add the bond written at offset pos; double and triple bonds
+        need their arrowhead."""
+        if mult in (2, 3) and rel == 0:
+            raise ParseError("a double or triple bond needs an arrowhead", pos)
         short = None
         if rel == 1:
             short = v
@@ -432,13 +432,14 @@ class _Parser:
                 if self.peek() != ")":
                     raise self.error("expected )")
                 self.pos += 1
-                self.b.add_edge(last, sub_first, 1, 0)
+                self.b.add_edge(last, sub_first, 1, 0, self.pos)
+            bond = self.pos
             edge = self.try_edge()
             if edge is None:
                 return first, last
             mult, rel = edge
             nxt = self.eat_node()
-            self.b.add_edge(last, nxt, mult, rel)
+            self.b.add_edge(last, nxt, mult, rel, bond)
             last = nxt
 
     def parse(self) -> None:
@@ -453,7 +454,7 @@ class _Parser:
             if is_cycle:
                 if first == last:
                     raise self.error("cycle needs at least two nodes")
-                self.b.add_edge(last, first, 1, 0)
+                self.b.add_edge(last, first, 1, 0, self.pos)
             if self.text.startswith(" + ", self.pos):
                 self.pos += 3
                 continue

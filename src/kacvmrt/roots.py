@@ -220,9 +220,27 @@ def root_norm(t: CartanType, r: Root) -> int:
     return sum(c[i] * c[j] * g[i][j] for i in range(t.rank) for j in range(t.rank) if c[i] and c[j])
 
 
+_EXCEPTIONAL_HIGHEST = {
+    ("E", 6): (1, 2, 2, 3, 2, 1),
+    ("E", 7): (2, 2, 3, 4, 3, 2, 1),
+    ("E", 8): (2, 3, 4, 6, 5, 4, 3, 2),
+    ("F", 4): (2, 3, 4, 2),
+    ("G", 2): (3, 2),
+}
+
+
 def highest_root(t: CartanType) -> Root:
-    """The unique maximal root (maximal height)."""
-    return positive_roots(t)[-1]
+    """The unique maximal root, from the Bourbaki plates (no enumeration)."""
+    n, f = t.rank, t.family
+    if f == "A":
+        return Root((1,) * n)
+    if f == "B":
+        return Root((1,) + (2,) * (n - 1))
+    if f == "C":
+        return Root((2,) * (n - 1) + (1,))
+    if f == "D":
+        return Root((1,) + (2,) * (n - 3) + (1, 1))
+    return Root(_EXCEPTIONAL_HIGHEST[(f, n)])
 
 
 def highest_short_root(t: CartanType) -> Root:

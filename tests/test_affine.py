@@ -1,15 +1,88 @@
 """Affine diagram construction, Kac labels and the white-node rules."""
 
+from dataclasses import replace
+from fractions import Fraction
+from math import gcd
+
 import pytest
 
 from kacvmrt.affine import (
     MarkedKacDiagram,
     affine_diagram,
+    affine_node_count,
     kac_labels,
     validate_kac_marking,
 )
 from kacvmrt.diagrams import classify
 from kacvmrt.roots import CartanType, highest_root
+
+
+def _null_labels(a):
+    """Oracle: the positive gcd-1 left null vector of a, by exact Gaussian
+    elimination over the rationals."""
+    n = len(a)
+    # Solve x A = 0, i.e. A^T x = 0.
+    m = [[Fraction(a[j][i]) for j in range(n)] for i in range(n)]
+    piv_cols = []
+    row = 0
+    for col in range(n):
+        piv = next((r for r in range(row, n) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        inv = 1 / m[row][col]
+        m[row] = [x * inv for x in m[row]]
+        for r in range(n):
+            if r != row and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
+        piv_cols.append(col)
+        row += 1
+    free = [c for c in range(n) if c not in piv_cols]
+    assert len(free) == 1, "affine Cartan matrix must have a 1-dimensional kernel"
+    x = [Fraction(0)] * n
+    x[free[0]] = Fraction(1)
+    for r, c in enumerate(piv_cols):
+        x[c] = -m[r][free[0]]
+    denom = 1
+    for v in x:
+        denom = denom * v.denominator // gcd(denom, v.denominator)
+    ints = [int(v * denom) for v in x]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    ints = [v // g for v in ints]
+    if all(v < 0 for v in ints):
+        ints = [-v for v in ints]
+    assert all(v > 0 for v in ints), "null vector is not positive"
+    return tuple(ints)
+
+
+# Every affine shape up to base rank 12, untwisted and twisted: a superset
+# of the shapes named in the tests below.
+ALL_SHAPES = (
+    [(CartanType(f, n), 1) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+     for n in range(lo, 13)]
+    + [(CartanType("E", n), 1) for n in (6, 7, 8)]
+    + [(CartanType("F", 4), 1), (CartanType("G", 2), 1)]
+    + [(CartanType("A", n), 2) for n in range(2, 13)]
+    + [(CartanType("D", n), 2) for n in range(3, 13)]
+    + [(CartanType("E", 6), 2), (CartanType("D", 4), 3)]
+)
+
+
+@pytest.mark.parametrize("base,twist", ALL_SHAPES, ids=lambda x: str(x))
+def test_closed_form_labels_match_elimination_oracle(base, twist):
+    a = affine_diagram(base, twist)
+    assert a.labels == _null_labels(a.cartan_matrix())
+    assert affine_node_count(base.family, base.rank, twist) == a.num_nodes
+
+
+def test_null_check_rejects_wrong_labels():
+    a = affine_diagram(CartanType("C", 4), 1)  # labels (1, 2, 2, 2, 1)
+    for bad in [(2, 4, 4, 4, 2), (1, 2, 2, 2, 2), (1, 2, 2, 2), (-1, -2, -2, -2, -1)]:
+        with pytest.raises(AssertionError):
+            kac_labels(replace(a, labels=bad))
 
 
 def test_a1_untwisted():

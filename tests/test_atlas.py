@@ -3,7 +3,16 @@
 import pytest
 
 from kacvmrt.affine import validate_kac_marking
-from kacvmrt.atlas import RestrictedType, enumerate_entries, lookup
+from kacvmrt.atlas import (
+    _FIXED_ROWS,
+    _N_FAMILIES,
+    _NM_FAMILIES,
+    ALL_LABELS,
+    MAX_RANK,
+    RestrictedType,
+    enumerate_entries,
+    lookup,
+)
 from kacvmrt.render import to_canonical_text
 from kacvmrt.roots import CartanType
 
@@ -86,6 +95,43 @@ def test_enumerate_counts_frozen():
     assert "group-G" in names and "AI(n=1)" in names
     with pytest.raises(ValueError):
         enumerate_entries(0)
+
+
+def _every_row(label, max_n):
+    if label in _FIXED_ROWS:
+        yield _FIXED_ROWS[label]()
+        return
+    build = _N_FAMILIES.get(label) or _NM_FAMILIES[label]
+    for n in range(1, max_n + 1):
+        args = [(n,)] if label in _N_FAMILIES else [(n, m) for m in range(1, 2 * n + 2)]
+        for a in args:
+            try:
+                e = build(*a)
+            except ValueError:
+                continue
+            yield e
+
+
+def _built_then_cut(max_rank):
+    """Oracle: build every row of every family up to n = max_rank + 2 (no
+    family has fewer than n Kac nodes), then keep the distinct rows whose
+    Kac diagram has at most max_rank + 1 nodes."""
+    out = {}
+    for label in ALL_LABELS:
+        for e in _every_row(label, max_rank + 2):
+            if e.num_kac_nodes <= max_rank + 1:
+                out.setdefault(e, None)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("k", [2, 3, 8, 17, 40, MAX_RANK])
+def test_enumerate_matches_build_then_cut_oracle(k):
+    assert enumerate_entries(k) == _built_then_cut(k)
+
+
+def test_enumerate_rank_capped():
+    with pytest.raises(ValueError, match="max_rank"):
+        enumerate_entries(MAX_RANK + 1)
 
 
 def test_enumerate_node_count_bound():

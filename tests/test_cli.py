@@ -1,9 +1,11 @@
 """CLI behaviour: outputs, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
+from kacvmrt import cli
 from kacvmrt.cli import main
 
 
@@ -66,6 +68,24 @@ def test_list_deterministic(capsys):
 def test_unknown_label_exit_2(capsys):
     code, _, err = run(capsys, "vmrt", "nosuch")
     assert code == 2 and "unknown label" in err
+
+
+def test_max_rank_capped_exit_2(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "list", "--max-rank", "100000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "--max-rank" in err
+    code, _, err = run(capsys, "verify", "--max-rank", "1")
+    assert code == 2 and "--max-rank" in err
+
+
+def test_internal_error_exit_3(capsys, monkeypatch):
+    def broken(args):
+        raise AssertionError("invariant broken")
+
+    monkeypatch.setattr(cli, "_dispatch", broken)
+    code, _, err = run(capsys, "vmrt", "group-G")
+    assert code == 3 and err.startswith("internal error: invariant broken")
 
 
 def test_usage_error_exit_2():

@@ -67,6 +67,11 @@ def test_classify_rejects_garbage():
         Edge(1, 2), Edge(1, 3), Edge(1, 4), Edge(4, 5), Edge(4, 6)}))
     with pytest.raises(UnrecognizedDiagram):
         classify(double_fork)
+    # a cycle through a branch node: the arm walks must not go round it
+    triangle_tail = DynkinDiagram((1, 2, 3, 4), frozenset({
+        Edge(1, 2), Edge(2, 3), Edge(1, 3), Edge(3, 4)}))
+    with pytest.raises(UnrecognizedDiagram):
+        classify(triangle_tail)
 
 
 def _support_count(t, marked_idx):

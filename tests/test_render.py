@@ -100,6 +100,13 @@ class TestParse:
         ("(o)", 0),
         ("x[1]", 2),
         ("o-o)", 3),
+        # double and triple bonds need an arrowhead
+        ("o=o", 1),
+        ("o#o", 1),
+        ("O-o=o", 3),
+        ("x[3]-O-x[2]=x[3]", 11),
+        # a cycle through a branch node is neither finite nor affine
+        ("x[2] + @x[2]-x-x[3](o-x)-o", 26),
     ])
     def test_errors_carry_positions(self, bad, offset):
         with pytest.raises(ParseError) as err:

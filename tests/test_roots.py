@@ -116,6 +116,13 @@ def test_highest_roots():
         assert highest_root(t) == highest_short_root(t)
 
 
+@pytest.mark.parametrize("t", [
+    CartanType(f, n) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for n in range(lo, 13)
+] + [CartanType("E", n) for n in (6, 7, 8)] + [CartanType("F", 4), CartanType("G", 2)], ids=str)
+def test_highest_root_closed_form_matches_enumeration(t):
+    assert highest_root(t) == positive_roots(t)[-1]
+
+
 def test_root_ordering_deterministic():
     t = CartanType("D", 5)
     rts = positive_roots(t)
