@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
-from typing import FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .diagrams import DynkinDiagram, Edge, classify, standard_diagram
+from .diagrams import DynkinDiagram, Edge, adjacency_map, classify, standard_diagram
 from .roots import CartanType, cartan_matrix, highest_root, simple_norms
 
 
@@ -48,15 +48,14 @@ class AffineDiagram:
                 return e
         return None
 
+    def adjacency(self) -> Dict[int, Dict[int, Edge]]:
+        return adjacency_map(self.nodes, self.edges)
+
     def label(self, v: int) -> int:
         return self.labels[v]
 
     def finite_part(self, drop: Tuple[int, ...] = (0,)) -> DynkinDiagram:
-        keep = [v for v in self.nodes if v not in set(drop)]
-        return DynkinDiagram(
-            tuple(keep),
-            frozenset(e for e in self.edges if e.a not in set(drop) and e.b not in set(drop)),
-        )
+        return DynkinDiagram(self.nodes, self.edges).delete(drop)
 
     def cartan_matrix(self) -> Tuple[Tuple[int, ...], ...]:
         """Affine Cartan matrix a[i][j] = <alpha_i, alpha_j^vee> by node id."""
@@ -217,9 +216,6 @@ class MarkedKacDiagram:
             raise ValueError("at least one white node")
         if not self.white <= set(self.diagram.nodes):
             raise ValueError("white nodes must lie in the diagram")
-
-    def color(self, v: int) -> str:
-        return "white" if v in self.white else "black"
 
 
 KINDS = ("group", "simple", "hermitian-exceptional", "hermitian-nonexceptional")

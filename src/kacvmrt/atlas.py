@@ -59,10 +59,6 @@ class SymmetricSpaceEntry:
     notes: Tuple[str, ...] = ()
 
     @property
-    def param_map(self) -> Dict[str, int]:
-        return dict(self.params)
-
-    @property
     def name(self) -> str:
         if not self.params:
             return self.label
@@ -400,9 +396,14 @@ def lookup(label: str, params: Optional[Dict[str, int]] = None) -> SymmetricSpac
     if name in _N_FAMILIES:
         if set(params) != {"n"}:
             raise ValueError(f"{name} requires exactly the parameter n")
-        return _N_FAMILIES[name](params["n"])
-    if set(params) != {"n", "m"}:
+    elif set(params) != {"n", "m"}:
         raise ValueError(f"{name} requires exactly the parameters n and m")
+    # The bound of enumerate_entries, checked before any row is built.
+    if affine_node_count(*_KAC_SHAPES[name](params["n"])) > MAX_RANK + 1:
+        raise ValueError(f"{name} at n={params['n']} has a Kac diagram of more than "
+                         f"MAX_RANK + 1 = {MAX_RANK + 1} nodes")
+    if name in _N_FAMILIES:
+        return _N_FAMILIES[name](params["n"])
     return _NM_FAMILIES[name](params["n"], params["m"])
 
 

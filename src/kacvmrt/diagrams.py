@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .roots import CartanType, positive_roots
+from .roots import CartanType, positive_roots, simple_edges
 
 
 @dataclass(frozen=True, order=True)
@@ -40,6 +40,37 @@ class Edge:
 
 def _edge(a: int, b: int, mult: int = 1, short: Optional[int] = None) -> Edge:
     return Edge(min(a, b), max(a, b), mult, short)
+
+
+def adjacency_map(nodes: Iterable[int], edges: Iterable[Edge]) -> Dict[int, Dict[int, Edge]]:
+    """v -> {neighbour: joining edge}, in one pass over the edges.
+
+    Built per call and never stored: diagrams are many and short-lived,
+    and a per-instance copy would outweigh the diagram itself.  Parallel
+    edges collapse to one entry, so edge counts must come from the edges.
+    """
+    adj: Dict[int, Dict[int, Edge]] = {v: {} for v in nodes}
+    for e in edges:
+        adj[e.a][e.b] = adj[e.b][e.a] = e
+    return adj
+
+
+def _components(nodes: Sequence[int], adj: Dict[int, Dict[int, Edge]]) -> Tuple[Tuple[int, ...], ...]:
+    seen: set = set()
+    comps: List[Tuple[int, ...]] = []
+    for start in nodes:
+        if start in seen:
+            continue
+        stack, comp = [start], set()
+        while stack:
+            v = stack.pop()
+            if v in comp:
+                continue
+            comp.add(v)
+            stack.extend(adj[v])
+        seen |= comp
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
 
 
 @dataclass(frozen=True)
@@ -71,34 +102,11 @@ class DynkinDiagram:
         return None
 
     def adjacency(self) -> Dict[int, Dict[int, Edge]]:
-        """v -> {neighbour: joining edge}, in one pass over the edges.
-
-        Built per call and never stored: diagrams are many and short-lived,
-        and a per-instance copy would outweigh the diagram itself.
-        """
-        adj: Dict[int, Dict[int, Edge]] = {v: {} for v in self.nodes}
-        for e in self.edges:
-            adj[e.a][e.b] = adj[e.b][e.a] = e
-        return adj
+        return adjacency_map(self.nodes, self.edges)
 
     def components(self) -> Tuple[Tuple[int, ...], ...]:
         """Connected components as sorted node tuples, ordered by least node."""
-        adj = self.adjacency()
-        seen: set = set()
-        comps: List[Tuple[int, ...]] = []
-        for start in self.nodes:
-            if start in seen:
-                continue
-            stack, comp = [start], set()
-            while stack:
-                v = stack.pop()
-                if v in comp:
-                    continue
-                comp.add(v)
-                stack.extend(adj[v])
-            seen |= comp
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        return _components(self.nodes, self.adjacency())
 
     def restrict(self, keep: Iterable[int]) -> "DynkinDiagram":
         keep_set = set(keep)
@@ -114,8 +122,6 @@ class DynkinDiagram:
 
 def standard_diagram(t: CartanType, ids: Optional[Sequence[int]] = None) -> DynkinDiagram:
     """The Bourbaki diagram of t; ids[i] is the node standing for alpha_{i+1}."""
-    from .roots import simple_edges
-
     if ids is None:
         ids = list(range(1, t.rank + 1))
     if len(ids) != t.rank:
@@ -131,30 +137,41 @@ class UnrecognizedDiagram(ValueError):
     pass
 
 
-def _classify_component(d: DynkinDiagram, comp: Tuple[int, ...]) -> Tuple[CartanType, Dict[int, int]]:
-    """Recognise one connected component; returns (type, node -> Bourbaki index).
+def _chain_from(adj: Dict[int, Dict[int, Edge]], prev: Optional[int], cur: int) -> List[int]:
+    """The nodes from cur onwards, away from prev, to the end of a chain."""
+    out = []
+    while cur is not None:
+        out.append(cur)
+        nbrs = [v for v in adj[cur] if v != prev]
+        prev, cur = cur, (nbrs[0] if nbrs else None)
+    return out
+
+
+def _classify_component(
+    adj: Dict[int, Dict[int, Edge]], comp: Tuple[int, ...], edges: Sequence[Edge]
+) -> Tuple[CartanType, Dict[int, int]]:
+    """Recognise one connected component from the diagram's adjacency and
+    the component's own edges; returns (type, node -> Bourbaki index).
 
     Deterministic: ties between symmetric choices are broken by node id.
     """
-    sub = d.restrict(comp)
-    adj = sub.adjacency()
     n = len(comp)
     if n == 1:
         return CartanType("A", 1), {comp[0]: 1}
 
-    if len(sub.edges) != n - 1:
+    if len(edges) != n - 1:
         # Finite types are trees.  Checking first keeps the walks below from
         # going round a cycle for ever, and leaves no parallel edges, so adj
         # holds every edge.
         raise UnrecognizedDiagram("cycle is not a finite type")
 
-    multi = sorted((e for e in sub.edges if e.mult >= 2), key=lambda e: (e.a, e.b))
+    multi = sorted((e for e in edges if e.mult >= 2), key=lambda e: (e.a, e.b))
     deg = {v: len(adj[v]) for v in comp}
     if any(e.mult >= 4 for e in multi):
         raise UnrecognizedDiagram("quadruple bond is not a finite type")
 
     if any(e.mult == 3 for e in multi):
-        if n != 2 or len(sub.edges) != 1:
+        if n != 2:
             raise UnrecognizedDiagram("triple bond only occurs in G2")
         e = multi[0]
         return CartanType("G", 2), {e.short: 1, e.other(e.short): 2}
@@ -172,86 +189,63 @@ def _classify_component(d: DynkinDiagram, comp: Tuple[int, ...]) -> Tuple[Cartan
             if n != 4:
                 raise UnrecognizedDiagram("interior double bond only occurs in F4")
             # F4: long side of the double edge is node 2, short side node 3.
-            mapping = {lng: 2, e.short: 3}
             (outer_long,) = [v for v in adj[lng] if v != e.short]
             (outer_short,) = [v for v in adj[e.short] if v != lng]
-            mapping[outer_long] = 1
-            mapping[outer_short] = 4
-            return CartanType("F", 4), mapping
+            return CartanType("F", 4), {outer_long: 1, lng: 2, e.short: 3, outer_short: 4}
+        # alpha_n sits at the free end of the double bond: B_n if that is
+        # the short end, C_n if the long one.
         tip = end_on_edge[0]
-        if tip == e.short:
-            fam, last = "B", tip  # short endpoint: B_n with alpha_n at the tip
-        else:
-            fam, last = "C", tip  # long endpoint: C_n with alpha_n at the tip
-        mapping = {}
-        prev, cur, idx = None, last, n
-        while cur is not None:
-            mapping[cur] = idx
-            idx -= 1
-            nbrs = [v for v in adj[cur] if v != prev]
-            prev, cur = cur, (nbrs[0] if nbrs else None)
-        return CartanType(fam, n), mapping
+        chain = _chain_from(adj, None, tip)
+        return CartanType("B" if tip == e.short else "C", n), {v: n - k for k, v in enumerate(chain)}
 
     # Simply laced: A, D or E.
     branch = sorted(v for v in comp if deg[v] >= 3)
     if any(deg[v] > 3 for v in comp) or len(branch) > 1:
         raise UnrecognizedDiagram("not a finite simply-laced type")
     if not branch:
-        ends = sorted(v for v in comp if deg[v] == 1)
-        mapping = {}
-        prev, cur, idx = None, ends[0], 1
-        while cur is not None:
-            mapping[cur] = idx
-            idx += 1
-            nbrs = [v for v in adj[cur] if v != prev]
-            prev, cur = cur, (nbrs[0] if nbrs else None)
-        return CartanType("A", n), mapping
+        chain = _chain_from(adj, None, min(v for v in comp if deg[v] == 1))
+        return CartanType("A", n), {v: k + 1 for k, v in enumerate(chain)}
 
     c = branch[0]
-    arms: List[List[int]] = []
-    for first in adj[c]:
-        arm, prev, cur = [], c, first
-        while cur is not None:
-            arm.append(cur)
-            nbrs = [v for v in adj[cur] if v != prev]
-            prev, cur = cur, (nbrs[0] if nbrs else None)
-        arms.append(arm)
-    arms.sort(key=lambda a: (len(a), a[-1]))
+    arms = sorted((_chain_from(adj, c, first) for first in adj[c]), key=lambda a: (len(a), a[-1]))
     lengths = tuple(len(a) for a in arms)
-
-    if lengths[0] == 1 and lengths[1] == 1:
-        k = lengths[2]
-        if len(arms) != 3:
-            raise UnrecognizedDiagram("too many arms")
-        rank = k + 3
-        mapping = {c: rank - 2, arms[0][0]: rank - 1, arms[1][0]: rank}
-        for i, v in enumerate(arms[2]):
-            mapping[v] = rank - 3 - i
-        return CartanType("D", rank), mapping
-
-    if lengths == (1, 2, 2) or lengths == (1, 2, 3) or lengths == (1, 2, 4):
-        rank = n
-        mapping = {c: 4, arms[0][0]: 2}
-        mapping[arms[1][0]] = 3
-        mapping[arms[1][1]] = 1
-        for i, v in enumerate(arms[2]):
-            mapping[v] = 5 + i
-        return CartanType("E", rank), mapping
+    if lengths[:2] == (1, 1):
+        mapping = {c: n - 2, arms[0][0]: n - 1, arms[1][0]: n}
+        mapping.update((v, n - 3 - i) for i, v in enumerate(arms[2]))
+        return CartanType("D", n), mapping
+    if lengths in ((1, 2, 2), (1, 2, 3), (1, 2, 4)):
+        mapping = {c: 4, arms[0][0]: 2, arms[1][0]: 3, arms[1][1]: 1}
+        mapping.update((v, 5 + i) for i, v in enumerate(arms[2]))
+        return CartanType("E", n), mapping
 
     raise UnrecognizedDiagram(f"arm lengths {lengths} are not a finite type")
 
 
+def _revalidate(t: CartanType, mapping: Dict[int, int], comp: Tuple[int, ...],
+                edges: Sequence[Edge]) -> None:
+    """Recognition is never trusted blind: the component's edges, carried
+    to Bourbaki indices, must be exactly the edges of t's diagram."""
+    got = set()
+    for e in edges:
+        i, j = mapping.get(e.a, 0), mapping.get(e.b, 0)
+        got.add((min(i, j), max(i, j), e.mult, None if e.short is None else mapping.get(e.short, 0)))
+    if len(comp) != t.rank or len(got) != len(edges) or got != set(simple_edges(t)):
+        raise UnrecognizedDiagram(f"component {comp} failed re-validation")
+
+
 def classify(d: DynkinDiagram) -> Tuple[Tuple[CartanType, Dict[int, int]], ...]:
-    """Recognise every component.  Total and deterministic on valid diagrams."""
+    """Recognise every component, in the order of `components()`.  Total and
+    deterministic on valid diagrams."""
+    adj = d.adjacency()
+    comps = _components(d.nodes, adj)
+    where = {v: k for k, comp in enumerate(comps) for v in comp}
+    buckets: List[List[Edge]] = [[] for _ in comps]
+    for e in d.edges:
+        buckets[where[e.a]].append(e)
     out = []
-    for comp in d.components():
-        t, mapping = _classify_component(d, comp)
-        # Recognition is never trusted blind: rebuilding the standard diagram
-        # through the claimed relabelling must reproduce the component.
-        inv = {bidx: v for v, bidx in mapping.items()}
-        rebuilt = standard_diagram(t, [inv[i] for i in range(1, t.rank + 1)])
-        if rebuilt.edges != d.restrict(comp).edges:
-            raise UnrecognizedDiagram(f"component {comp} failed re-validation")
+    for comp, edges in zip(comps, buckets):
+        t, mapping = _classify_component(adj, comp, edges)
+        _revalidate(t, mapping, comp, edges)
         out.append((t, mapping))
     return tuple(out)
 

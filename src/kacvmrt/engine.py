@@ -33,10 +33,11 @@ from .roots import CartanType
 def _single_orbit_half(m: MarkedKacDiagram, w: int) -> MarkedDynkinDiagram:
     """Steps (a)-(b) for one chosen white node."""
     d = m.diagram
-    crossed = [v for v in d.neighbors(w) if v not in m.white]
+    around = d.adjacency()[w]
+    crossed = [v for v in sorted(around) if v not in m.white]
     ann: Dict[int, int] = {}
     for v in crossed:
-        e = d.edge_between(w, v)
+        e = around[v]
         # The degree annotation fires only when the white node sits at the
         # long end of a multiple bond (arrow pointing away from it).
         if e.mult >= 2 and e.short == v:

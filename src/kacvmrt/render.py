@@ -33,6 +33,7 @@ from .diagrams import (
     classify,
     diagram_automorphisms,
     find_isomorphism,
+    find_marked_isomorphism,
     marked,
 )
 from .roots import CartanType
@@ -261,18 +262,20 @@ def _marks_of(d: Diagram) -> Dict[int, str]:
     return {}
 
 
-def _component_canonical(d: DynkinDiagram, comp: Tuple[int, ...],
-                         marks: Dict[int, str]) -> str:
-    sub = d.restrict(comp)
-    (t, mapping), = classify(sub)
-    inv = {i: v for v, i in mapping.items()}
-
+def _edge_lookup(adj: Dict[int, Dict[int, Edge]]) -> Callable[[int, int], Edge]:
+    """edge_of(u, v) by dict lookup in a per-call adjacency map."""
     def edge_of(u: int, v: int) -> Edge:
-        e = sub.edge_between(u, v)
+        e = adj[u].get(v)
         if e is None:
             raise AssertionError("template edge missing")
         return e
 
+    return edge_of
+
+
+def _component_canonical(t: CartanType, mapping: Dict[int, int],
+                         edge_of: Callable[[int, int], Edge], marks: Dict[int, str]) -> str:
+    inv = {i: v for v, i in mapping.items()}
     best = None
     for aut in diagram_automorphisms(t):
         inv_a = {i: inv[aut[i]] for i in aut}
@@ -282,26 +285,27 @@ def _component_canonical(d: DynkinDiagram, comp: Tuple[int, ...],
     return best
 
 
-def _affine_canonical(a: AffineDiagram, marks: Dict[int, str]) -> str:
-    def edge_of(u: int, v: int) -> Edge:
-        e = a.edge_between(u, v)
-        if e is None:
-            raise AssertionError("template edge missing")
-        return e
+def _cycle_order(adj: Dict[int, Dict[int, Edge]]) -> List[int]:
+    """The nodes of a cycle, from its least node on towards the lesser
+    neighbour."""
+    cyc: List[int] = [min(adj)]
+    prev = None
+    while True:
+        nbrs = [w for w in adj[cyc[-1]] if w != prev and w not in cyc]
+        if not nbrs:
+            return cyc
+        prev = cyc[-1]
+        cyc.append(min(nbrs))
 
+
+def _affine_canonical(a: AffineDiagram, marks: Dict[int, str]) -> str:
+    adj = a.adjacency()
+    edge_of = _edge_lookup(adj)
     base_spine = _affine_spine(a)
     texts = []
     if base_spine is None:
         # cycle: nodes in cyclic order starting anywhere, both directions
-        cyc: List[int] = [a.nodes[0]]
-        prev = None
-        while True:
-            nbrs = [w for w in a.neighbors(cyc[-1]) if w != prev]
-            nxt = min(n for n in nbrs if n not in cyc) if any(n not in cyc for n in nbrs) else None
-            if nxt is None:
-                break
-            prev = cyc[-1]
-            cyc.append(nxt)
+        cyc = _cycle_order(adj)
         k = len(cyc)
         for r in range(k):
             for seq in (cyc[r:] + cyc[:r], (cyc[r:] + cyc[:r])[::-1]):
@@ -321,9 +325,10 @@ def to_canonical_text(d: Diagram) -> str:
         return _affine_canonical(a, _marks_of(d))
     md = d if isinstance(d, MarkedDynkinDiagram) else MarkedDynkinDiagram(d)
     marks = _marks_of(md)
+    edge_of = _edge_lookup(md.diagram.adjacency())
     parts = sorted(
-        _component_canonical(md.diagram, comp, marks)
-        for comp in md.diagram.components()
+        _component_canonical(t, mapping, edge_of, marks)
+        for t, mapping in classify(md.diagram)
     )
     text = " + ".join(parts)
     if md.sigma_pairs is not None and text:
@@ -421,14 +426,15 @@ class _Parser:
                 return _EDGE_DECODE[alt]
         return None
 
-    def parse_chain(self) -> Tuple[int, int]:
-        """Parse node (branches)* (edge ...)*; returns (first, last) ids."""
+    def parse_chain(self) -> Tuple[int, int, int]:
+        """Parse node (branches)* (edge ...)*; returns the first and last
+        ids and the number of nodes on the chain, branches not counted."""
         first = self.eat_node()
-        last = first
+        last, length = first, 1
         while True:
             while self.peek() == "(":
                 self.pos += 1
-                sub_first, _ = self.parse_chain()
+                sub_first, _, _ = self.parse_chain()
                 if self.peek() != ")":
                     raise self.error("expected )")
                 self.pos += 1
@@ -436,24 +442,26 @@ class _Parser:
             bond = self.pos
             edge = self.try_edge()
             if edge is None:
-                return first, last
+                return first, last, length
             mult, rel = edge
             nxt = self.eat_node()
             self.b.add_edge(last, nxt, mult, rel, bond)
-            last = nxt
+            last, length = nxt, length + 1
 
     def parse(self) -> None:
         if not self.text:
             return
         while True:
-            is_cycle = False
-            if self.peek() == "@":
-                self.pos += 1
-                is_cycle = True
-            first, last = self.parse_chain()
+            at = self.pos
+            is_cycle = self.peek() == "@"
             if is_cycle:
-                if first == last:
-                    raise self.error("cycle needs at least two nodes")
+                self.pos += 1
+            first, last, length = self.parse_chain()
+            if is_cycle:
+                # Two nodes would close the cycle on their own bond again;
+                # affine A_1 is written o####o.
+                if length < 3:
+                    raise ParseError("a cycle needs at least three nodes", at)
                 self.b.add_edge(last, first, 1, 0, self.pos)
             if self.text.startswith(" + ", self.pos):
                 self.pos += 3
@@ -518,8 +526,6 @@ def parse(s: str) -> Diagram:
                 right = halves[k:]
                 pairs: List[Tuple[int, int]] = []
                 for lm, rm in zip(left, right):
-                    from .diagrams import find_marked_isomorphism
-
                     iso = find_marked_isomorphism(lm, rm)
                     if iso is None:
                         raise ParseError("sigma halves are not isomorphic", len(s))
@@ -552,16 +558,10 @@ def _layout(d: Diagram) -> List[str]:
     if isinstance(d, (AffineDiagram, MarkedKacDiagram)):
         a = d.diagram if isinstance(d, MarkedKacDiagram) else d
         spine = _affine_spine(a)
-        edge_of = a.edge_between
+        adj = a.adjacency()
+        edge_of = _edge_lookup(adj)
         if spine is None:  # cycle: apex row + base chain
-            cyc: List[int] = [a.nodes[0]]
-            prev = None
-            while len(cyc) < a.num_nodes:
-                nbrs = [w for w in a.neighbors(cyc[-1]) if w != prev and w not in cyc]
-                if not nbrs:
-                    break
-                prev = cyc[-1]
-                cyc.append(min(nbrs))
+            cyc = _cycle_order(adj)
             apex, base = cyc[0], cyc[1:]
             base_text = _render_chain(base, edge_of, marks)
             width = len(base_text)
@@ -574,13 +574,11 @@ def _layout(d: Diagram) -> List[str]:
             ]
         return _spine_layout(spine, edge_of, marks)
     md = d if isinstance(d, MarkedDynkinDiagram) else MarkedDynkinDiagram(d)
+    edge_of = _edge_lookup(md.diagram.adjacency())
     blocks: List[str] = []
-    for comp in md.diagram.components():
-        sub = md.diagram.restrict(comp)
-        (t, mapping), = classify(sub)
+    for t, mapping in classify(md.diagram):
         inv = {i: v for v, i in mapping.items()}
-        rows = _spine_layout(_finite_spine(t, inv), sub.edge_between, marks)
-        blocks.extend(rows)
+        blocks.extend(_spine_layout(_finite_spine(t, inv), edge_of, marks))
         blocks.append("")
     if blocks and blocks[-1] == "":
         blocks.pop()
@@ -603,25 +601,19 @@ def _spine_layout(spine: Spine, edge_of, marks: Dict[int, str]) -> List[str]:
         for i, br in enumerate(branches):
             (above if i == 0 else below).append((cols[v], list(br)))
         prev = v
-    height = max((len(br) for _, br in above), default=0)
-    grid = [dict() for _ in range(2 * height)]
-    for col, br in above:
+    return _branch_rows(above, marks)[::-1] + [base] + _branch_rows(below, marks)
+
+
+def _branch_rows(branches: List[Tuple[int, List[int]]], marks: Dict[int, str]) -> List[str]:
+    """Rows of (column, chain) branches hung vertically, nearest row first."""
+    height = max((len(br) for _, br in branches), default=0)
+    grid: List[Dict[int, str]] = [{} for _ in range(2 * height)]
+    for col, br in branches:
         for j, u in enumerate(br):
             grid[2 * j][col] = "|"
             grid[2 * j + 1][col] = _node_token(u, marks)
-    rows = [base]
+    rows = []
     for row in grid:
-        line = ""
-        for col in sorted(row):
-            line = line.ljust(col) + row[col]
-        rows.insert(0, line)
-    down_height = max((len(br) for _, br in below), default=0)
-    dgrid = [dict() for _ in range(2 * down_height)]
-    for col, br in below:
-        for j, u in enumerate(br):
-            dgrid[2 * j][col] = "|"
-            dgrid[2 * j + 1][col] = _node_token(u, marks)
-    for row in dgrid:
         line = ""
         for col in sorted(row):
             line = line.ljust(col) + row[col]

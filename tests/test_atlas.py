@@ -61,6 +61,12 @@ def test_lookup_errors_name_bounds():
         lookup("EIV", {"n": 3})
     with pytest.raises(ValueError, match="parameter n"):
         lookup("BII", {})
+    # the bound of enumerate_entries: at most MAX_RANK + 1 Kac nodes
+    assert lookup("herm-CI", {"n": MAX_RANK}).num_kac_nodes == MAX_RANK + 1
+    for label, params in [("herm-CI", {"n": MAX_RANK + 1}), ("group-E", {"n": 10**6}),
+                          ("BI", {"n": 10**6, "m": 3}), ("AI", {"n": MAX_RANK + 1})]:
+        with pytest.raises(ValueError, match="MAX_RANK"):
+            lookup(label, params)
 
 
 def test_bi_parameter_normalisation():

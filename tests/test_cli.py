@@ -79,6 +79,13 @@ def test_max_rank_capped_exit_2(capsys):
     assert code == 2 and "--max-rank" in err
 
 
+def test_lookup_bounded_exit_2(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "vmrt", "herm-CI", "--n", "1000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "MAX_RANK" in err
+
+
 def test_internal_error_exit_3(capsys, monkeypatch):
     def broken(args):
         raise AssertionError("invariant broken")

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from kacvmrt import diagrams
 from kacvmrt.diagrams import (
     DynkinDiagram,
     Edge,
@@ -72,6 +73,27 @@ def test_classify_rejects_garbage():
         Edge(1, 2), Edge(2, 3), Edge(1, 3), Edge(3, 4)}))
     with pytest.raises(UnrecognizedDiagram):
         classify(triangle_tail)
+    # a second bond on a joined pair; adjacency maps keep only one of them
+    b3 = standard_diagram(CartanType("B", 3))
+    for extra in (Edge(1, 2, 2, 1), Edge(1, 2, 3, 2), Edge(2, 3, 1)):
+        with pytest.raises(UnrecognizedDiagram):
+            classify(DynkinDiagram(b3.nodes, b3.edges | {extra}))
+
+
+@pytest.mark.parametrize("lie", ["type", "mapping"])
+def test_classify_revalidates_recognition(monkeypatch, lie):
+    real = diagrams._classify_component
+
+    def lying(adj, comp, edges):
+        t, mapping = real(adj, comp, edges)
+        if lie == "type":  # read B_n as C_n: same shape, other arrow
+            return CartanType("C", t.rank), mapping
+        a, b = sorted(mapping)[:2]
+        return t, {**mapping, a: mapping[b], b: mapping[a]}
+
+    monkeypatch.setattr(diagrams, "_classify_component", lying)
+    with pytest.raises(UnrecognizedDiagram, match="re-validation"):
+        classify(standard_diagram(CartanType("B", 4), [5, 6, 7, 8]))
 
 
 def _support_count(t, marked_idx):

@@ -5,6 +5,9 @@ the positive roots and counts those meeting a crossed node.
 `find_isomorphism` builds per-call incidence maps and filters candidates
 by mapped neighbours; the oracle is the plain backtracking search over
 `neighbors`/`edge_between`, which must return the very same mapping.
+`classify` recognises every component from one adjacency map and
+re-validates in Bourbaki index space; the oracle restricts the diagram to
+each component and compares it with the rebuilt Bourbaki diagram.
 """
 
 import pytest
@@ -17,6 +20,8 @@ from kacvmrt.affine import affine_diagram  # noqa: E402
 from kacvmrt.diagrams import (  # noqa: E402
     DynkinDiagram,
     Edge,
+    UnrecognizedDiagram,
+    _classify_component,
     _edge_signature,
     classify,
     find_isomorphism,
@@ -186,3 +191,82 @@ def test_find_isomorphism_on_near_misses(pair, data):
     assert iso == _backtracking_oracle(d1, d2, t1, t2)
     if iso is not None:
         assert _is_isomorphism(iso, d1, d2, t1, t2)
+
+
+def _classify_oracle(d):
+    """classify by restriction: each component becomes its own diagram, and
+    the Bourbaki diagram rebuilt through the mapping must have its edges."""
+    out = []
+    for comp in d.components():
+        sub = d.restrict(comp)
+        t, mapping = _classify_component(sub.adjacency(), comp, tuple(sub.edges))
+        inv = {i: v for v, i in mapping.items()}
+        rebuilt = standard_diagram(t, [inv[i] for i in range(1, t.rank + 1)])
+        if rebuilt.edges != sub.edges:
+            raise UnrecognizedDiagram(f"component {comp} failed re-validation")
+        out.append((t, mapping))
+    return tuple(out)
+
+
+def _outcome(f, d):
+    try:
+        return f(d)
+    except UnrecognizedDiagram:
+        return "unrecognized"
+
+
+def _some_short(draw, mult, a, b):
+    if mult == 1:
+        return None
+    return draw(st.sampled_from([a, b] if mult in (2, 3) else [None, a, b]))
+
+
+@st.composite
+def near_misses(draw):
+    """A relabelled Bourbaki union with one change that usually, but not
+    always, leaves finite type: a parallel bond of another multiplicity, a
+    flipped arrow, a rewired bond, a closed cycle or a quadruple bond."""
+    d = draw(finite_unions())
+    edges = set(d.edges)
+    how = draw(st.sampled_from(["parallel", "arrow", "rewire", "cycle", "quadruple"]))
+    if not edges:
+        return d
+    e = draw(st.sampled_from(sorted(edges)))
+    if how == "parallel":
+        mult = draw(st.sampled_from([m for m in (1, 2, 3, 4) if m != e.mult]))
+        edges.add(Edge(e.a, e.b, mult, _some_short(draw, mult, e.a, e.b)))
+    elif how == "arrow":
+        multi = sorted(f for f in edges if f.short is not None)
+        if multi:
+            f = draw(st.sampled_from(multi))
+            edges = (edges - {f}) | {Edge(f.a, f.b, f.mult, f.other(f.short))}
+    elif how == "quadruple":
+        edges = (edges - {e}) | {Edge(e.a, e.b, 4, _some_short(draw, 4, e.a, e.b))}
+    else:
+        # "rewire" moves e to an unjoined pair anywhere; "cycle" adds a
+        # single bond inside the component of e.
+        joined = {(f.a, f.b) for f in edges}
+        pool = next(c for c in d.components() if e.a in c) if how == "cycle" else d.nodes
+        free = [(u, v) for u in pool for v in pool if u < v and (u, v) not in joined]
+        if free:
+            u, v = draw(st.sampled_from(free))
+            if how == "rewire":
+                edges.discard(e)
+                edges.add(Edge(u, v, e.mult, None if e.short is None else u))
+            else:
+                edges.add(Edge(u, v))
+    return DynkinDiagram(d.nodes, frozenset(edges))
+
+
+@SETTINGS
+@given(finite_unions())
+def test_classify_matches_oracle_on_relabelled_unions(d):
+    got = classify(d)
+    assert got == _classify_oracle(d)
+    assert sum(t.rank for t, _ in got) == len(d.nodes)
+
+
+@SETTINGS
+@given(near_misses())
+def test_classify_matches_oracle_on_near_misses(d):
+    assert _outcome(classify, d) == _outcome(_classify_oracle, d)

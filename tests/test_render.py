@@ -107,6 +107,9 @@ class TestParse:
         ("x[3]-O-x[2]=x[3]", 11),
         # a cycle through a branch node is neither finite nor affine
         ("x[2] + @x[2]-x-x[3](o-x)-o", 26),
+        # a cycle of two nodes would close on its own bond again
+        ("@o-o", 0),
+        ("o + @O=>o(o)", 4),
     ])
     def test_errors_carry_positions(self, bad, offset):
         with pytest.raises(ParseError) as err:
@@ -196,3 +199,12 @@ def test_parse_sigma_requires_matching_halves():
         parse("o-o + o-o + o-o ~sigma")  # odd component count
     with pytest.raises(ParseError, match="isomorphic"):
         parse("x-o + o-o ~sigma")
+
+
+def test_empty_diagram_round_trips():
+    # herm-AI's Z is the empty diagram; its text is "" and parses back
+    e = lookup("herm-AI")
+    (z,) = z_orbit_diagram(e.kac_diagram(), e.kind)
+    text = to_canonical_text(z)
+    assert text == ""
+    assert to_canonical_text(parse(text)) == text
