@@ -6,15 +6,7 @@ with its dimension bookkeeping.
 Run:  python3 demos/demo_atlas.py
 """
 
-from kacvmrt import (
-    enumerate_entries,
-    lookup,
-    to_ascii,
-    to_canonical_text,
-    vmrt,
-    z_dimension,
-    z_orbit_diagram,
-)
+from kacvmrt import enumerate_entries, lookup, to_ascii, to_canonical_text, vmrt
 
 SAMPLE = [
     ("group-G", {}),            # (G_2 x G_2)/G_2: the G_2 adjoint variety
@@ -30,15 +22,14 @@ SAMPLE = [
 def show(label, params):
     e = lookup(label, params)
     kac = e.kac_diagram()
-    zs = z_orbit_diagram(kac, e.kind)
-    v = vmrt(e)
+    v = vmrt(e)  # carries the Z diagram(s) and dim Z it was read from
     print("=" * 64)
     print(f"{e.name}: {e.g_desc} / {e.h_desc}   [{e.kind}]")
     print(f"restricted type {e.restricted}, boundary degree {e.boundary_degree}")
     print("marked Kac diagram:")
     print("  " + to_ascii(kac).replace("\n", "\n  "))
-    print(f"Z diagram(s): {', '.join(to_canonical_text(z) for z in zs)}")
-    print(f"dim Z = {z_dimension(zs[0])}")
+    print(f"Z diagram(s): {', '.join(to_canonical_text(z) for z in v.z)}")
+    print(f"dim Z = {v.z_dim}")
     print(f"VMRT: {v.identification}, dim {v.dimension} "
           f"(= dim Z + {e.boundary_degree} - 1)   [{v.kind}]")
     if v.ambient_note:

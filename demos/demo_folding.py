@@ -9,7 +9,7 @@ check across all four foldable families.
 Run:  python3 demos/demo_folding.py
 """
 
-from kacvmrt import fold, lookup, to_ascii, to_canonical_text, vmrt, z_orbit_diagram
+from kacvmrt import fold, lookup, to_ascii, to_canonical_text, vmrt
 from kacvmrt.engine import entry_folding_pair, fold_consistency
 
 
@@ -19,7 +19,7 @@ def show_fold(title, label, params):
     v = vmrt(e)
     src = v.components[0]
     out = fold(src, pair)
-    (z,) = z_orbit_diagram(e.kac_diagram(), e.kind)
+    (z,) = v.z
     print("=" * 64)
     print(f"{title}   [{e.name}: {e.g_desc}/{e.h_desc}, folding {pair}]")
     print(f"VMRT {v.identification} (dim {v.dimension}):")

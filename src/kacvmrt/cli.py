@@ -17,7 +17,6 @@ from .atlas import MAX_RANK, enumerate_entries, lookup
 from .diagrams import MarkedDynkinDiagram, parabolic_dimension
 from .engine import FOLDING_PAIRS, fold, identify, vmrt, z_dimension, z_orbit_diagram
 from .render import FORMATS, ParseError, parse, render, to_canonical_text
-from .verify import format_results, run_all
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,8 +74,6 @@ def _params(args) -> dict:
 
 
 def _entry_json(e) -> dict:
-    kac = e.kac_diagram()
-    zs = z_orbit_diagram(kac, e.kind)
     v = vmrt(e)
     return {
         "label": e.label,
@@ -84,11 +81,11 @@ def _entry_json(e) -> dict:
         "kind": e.kind,
         "g": e.g_desc,
         "h": e.h_desc,
-        "kac": to_canonical_text(kac),
+        "kac": to_canonical_text(e.kac_diagram()),
         "restricted_type": str(e.restricted),
         "boundary_degree": e.boundary_degree,
-        "z": [to_canonical_text(z) for z in zs],
-        "z_dim": z_dimension(zs[0]),
+        "z": [to_canonical_text(z) for z in v.z],
+        "z_dim": v.z_dim,
         "vmrt": [to_canonical_text(c) for c in v.components],
         "vmrt_kind": v.kind,
         "vmrt_dim": v.dimension,
@@ -171,6 +168,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "verify":
+        # Imported here: the other commands need none of the sweep.
+        from .verify import format_results, run_all
         results = run_all(args.max_rank)
         print(format_results(results))
         return 0 if all(r.status != "FAIL" for r in results) else 1

@@ -344,24 +344,29 @@ class MarkedDynkinDiagram:
     def annotation_map(self) -> Dict[int, int]:
         return dict(self.annotations)
 
+    def restrict(self, keep: Iterable[int]) -> "MarkedDynkinDiagram":
+        """The marked sub-diagram on the nodes `keep` (sigma pairing dropped)."""
+        keep_set = set(keep)
+        return MarkedDynkinDiagram(
+            self.diagram.restrict(keep_set),
+            self.crossed & keep_set,
+            tuple((k, v) for k, v in self.annotations if k in keep_set),
+        )
+
     def component_marked(self) -> Tuple["MarkedDynkinDiagram", ...]:
         """Split into per-component marked diagrams (sigma pairing dropped)."""
-        out = []
-        for comp in self.diagram.components():
-            comp_set = set(comp)
-            out.append(
-                MarkedDynkinDiagram(
-                    self.diagram.restrict(comp),
-                    frozenset(self.crossed & comp_set),
-                    tuple((k, v) for k, v in self.annotations if k in comp_set),
-                )
-            )
-        return tuple(out)
+        return tuple(self.restrict(comp) for comp in self.diagram.components())
 
     def sigma_left_nodes(self) -> FrozenSet[int]:
         if self.sigma_pairs is None:
             raise ValueError("no sigma pairing")
         return frozenset(a for a, _ in self.sigma_pairs)
+
+    def sigma_halves(self) -> Tuple["MarkedDynkinDiagram", "MarkedDynkinDiagram"]:
+        """The two halves the sigma pairing matches: left (the first node
+        of each pair), then right."""
+        left = self.sigma_left_nodes()
+        return self.restrict(left), self.restrict(frozenset(self.diagram.nodes) - left)
 
 
 def _edge_signature(e: Edge, seen_from: int) -> Tuple[int, int]:

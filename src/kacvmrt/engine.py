@@ -159,20 +159,7 @@ def identify(v: MarkedDynkinDiagram) -> str:
     if not v.diagram.nodes:
         return "P^0"
     if v.sigma_pairs is not None:
-        left = v.sigma_left_nodes()
-        right = frozenset(v.diagram.nodes) - left
-        halves = []
-        for side in (left, right):
-            halves.append(
-                identify(
-                    marked(
-                        v.diagram.restrict(side),
-                        v.crossed & side,
-                        tuple((k, d) for k, d in v.annotations if k in side),
-                    )
-                )
-            )
-        return " u ".join(halves)
+        return " u ".join(identify(h) for h in v.sigma_halves())
     names: List[Tuple[int, str]] = []
     for (t, mapping), comp in zip(classify(v.diagram), v.diagram.components()):
         comp_set = set(comp)
@@ -193,6 +180,8 @@ class VMRTDescription:
     components: Tuple[MarkedDynkinDiagram, ...]
     dimension: int
     identification: str
+    z: Tuple[MarkedDynkinDiagram, ...]  # the closed orbit Z, as z_orbit_diagram gives it
+    z_dim: int
     ambient_note: str = ""
 
 
@@ -235,6 +224,7 @@ def vmrt(e: SymmetricSpaceEntry) -> VMRTDescription:
             components=zs,
             dimension=zdim,
             identification=" u ".join(identify(z) for z in zs),
+            z=zs, z_dim=zdim,
         )
     if e.restricted.rank >= 2:
         gp, note = _type_a_table(e)
@@ -243,6 +233,7 @@ def vmrt(e: SymmetricSpaceEntry) -> VMRTDescription:
             components=(gp,),
             dimension=zdim + 1,
             identification=identify(gp),
+            z=zs, z_dim=zdim,
             ambient_note=note,
         )
     # Restricted type A_1: the VMRT is all of P(T_pX) = P(p).
@@ -255,6 +246,7 @@ def vmrt(e: SymmetricSpaceEntry) -> VMRTDescription:
         components=(proj,),
         dimension=k,
         identification=f"P^{k}",
+        z=zs, z_dim=zdim,
         ambient_note="C_p = P(T_pX) = P(p)",
     )
 
@@ -376,9 +368,9 @@ def entry_folding_pair(e: SymmetricSpaceEntry) -> str:
 def fold_consistency(e: SymmetricSpaceEntry) -> bool:
     """Does folding the ambient VMRT diagram reproduce the Z diagram?"""
     pair = entry_folding_pair(e)
-    folded = fold(vmrt(e).components[0], pair)
-    (z,) = z_orbit_diagram(e.kac_diagram(), e.kind)
-    return find_marked_isomorphism(folded, z) is not None
+    v = vmrt(e)
+    (z,) = v.z
+    return find_marked_isomorphism(fold(v.components[0], pair), z) is not None
 
 
 def contact_grading_check(e: SymmetricSpaceEntry) -> bool:

@@ -18,15 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .affine import affine_diagram, kac_labels, validate_kac_marking
 from .atlas import SymmetricSpaceEntry, enumerate_entries, lookup
-from .diagrams import find_marked_isomorphism, marked, parabolic_dimension
-from .engine import (
-    contact_grading_check,
-    fold,
-    fold_consistency,
-    vmrt,
-    z_dimension,
-    z_orbit_diagram,
-)
+from .diagrams import MarkedDynkinDiagram, find_marked_isomorphism, parabolic_dimension
+from .engine import contact_grading_check, fold, fold_consistency, vmrt
 from .render import parse, to_canonical_text
 from .roots import CartanType, positive_roots
 
@@ -202,29 +195,10 @@ def check_exceptional_dimensions() -> List[CheckResult]:
 
 
 def check_dimension_formula(max_rank: int) -> List[CheckResult]:
-    out = []
-    bad = []
-    count = 0
-    for e in enumerate_entries(max_rank):
-        zs = z_orbit_diagram(e.kac_diagram(), e.kind)
-        zdim = z_dimension(zs[0])
-        v = vmrt(e)
-        count += 1
-        if v.dimension != zdim + e.boundary_degree - 1:
-            bad.append(f"{e.name}: {v.dimension} != {zdim}+{e.boundary_degree}-1")
-        if e.restricted.is_type_a and e.restricted.rank >= 2:
-            gp = v.components[0]
-            gp_dim = parabolic_dimension(gp.diagram, gp.crossed)
-            if gp_dim != zdim + 1:
-                bad.append(f"{e.name}: ambient {gp_dim} != z+1 = {zdim + 1}")
-    status = "PASS" if not bad else "FAIL"
-    out.append(CheckResult("dimension-formula", f"{count} entries, rank <= {max_rank}",
-                           status, "; ".join(bad[:4])))
-    return out
+    return _entry_pass(max_rank, ("dimension-formula",))
 
 
 def check_folding() -> List[CheckResult]:
-    out = []
     cases: List[Tuple[str, Dict[str, int]]] = []
     cases += [("group-A", {"n": r}) for r in range(2, 11)]
     cases += [("AI", {"n": n}) for n in range(1, 6)]        # restricted A_2..A_10, even
@@ -235,8 +209,7 @@ def check_folding() -> List[CheckResult]:
         e = lookup(label, params)
         if not fold_consistency(e):
             bad.append(e.name)
-    out.append(CheckResult("folding", f"{len(cases)} foldable entries",
-                           "PASS" if not bad else "FAIL", "; ".join(bad)))
+    out = [_row("folding", f"{len(cases)} foldable entries", bad)]
 
     # The three classical folding instances.  The first is traditionally
     # captioned nu_2(P^9) -> Q_8, one rank below the drawn diagrams (ten
@@ -247,11 +220,9 @@ def check_folding() -> List[CheckResult]:
         ("EIV", {}, "ef", "o-o=>o-x", "E_6/P_6 -> F_4/P_4"),
     ]
     for label, params, pair, want, note in displays:
-        e = lookup(label, params)
-        folded = fold(vmrt(e).components[0], pair)
-        got = to_canonical_text(folded)
-        z = z_orbit_diagram(e.kac_diagram(), e.kind)[0]
-        ok = got == want and got == to_canonical_text(z)
+        v = vmrt(lookup(label, params))
+        got = to_canonical_text(fold(v.components[0], pair))
+        ok = got == want and got == to_canonical_text(v.z[0])
         out.append(CheckResult("folding", f"displayed folding {note}",
                                "PASS" if ok else "FAIL", got))
     return out
@@ -270,53 +241,26 @@ def check_contact_grading(max_rank: int = 8) -> List[CheckResult]:
         count += 1
         if not contact_grading_check(e):
             bad.append(e.name)
-    return [CheckResult("contact", f"{count} group entries, rank <= {max_rank}",
-                        "PASS" if not bad else "FAIL", "; ".join(bad))]
+    return [_row("contact", f"{count} group entries, rank <= {max_rank}", bad)]
 
 
 def check_kac_markings(max_rank: int) -> List[CheckResult]:
-    bad = []
-    entries = enumerate_entries(max_rank)
-    for e in entries:
-        if not validate_kac_marking(e.kac_diagram(), e.kind):
-            bad.append(e.name)
-        if (e.boundary_degree == 2) != e.restricted.is_type_a:
-            bad.append(f"{e.name} boundary/type-A mismatch")
-    return [CheckResult("kac-rules", f"{len(entries)} entries",
-                        "PASS" if not bad else "FAIL", "; ".join(bad))]
+    return _entry_pass(max_rank, ("kac-rules",))
 
 
 def check_component_structure(max_rank: int) -> List[CheckResult]:
-    bad = []
-    count = 0
-    for e in enumerate_entries(max_rank):
-        count += 1
-        zs = z_orbit_diagram(e.kac_diagram(), e.kind)
-        if e.kind in ("group", "simple"):
-            if len(zs) != 1 or zs[0].sigma_pairs is not None:
-                bad.append(e.name)
-        elif e.kind == "hermitian-exceptional":
-            if len(zs) != 2 or find_marked_isomorphism(zs[0], zs[1]) is None:
-                bad.append(e.name)
-        else:
-            if len(zs) != 1 or zs[0].sigma_pairs is None:
-                bad.append(e.name)
-                continue
-            z = zs[0]
-            left = z.sigma_left_nodes()
-            right = frozenset(z.diagram.nodes) - left
-            lm = marked(z.diagram.restrict(left), z.crossed & left,
-                        tuple((k, v) for k, v in z.annotations if k in left))
-            rm = marked(z.diagram.restrict(right), z.crossed & right,
-                        tuple((k, v) for k, v in z.annotations if k in right))
-            if find_marked_isomorphism(lm, rm) is None:
-                bad.append(e.name)
-    return [CheckResult("components", f"{count} entries",
-                        "PASS" if not bad else "FAIL", "; ".join(bad))]
+    return _entry_pass(max_rank, ("components",))
 
 
 def check_engine_selfchecks(max_rank: int) -> List[CheckResult]:
-    out = []
+    return [_lie_dimensions(max_rank)] + _entry_pass(max_rank, ("kac-labels", "round-trip"))
+
+
+def _row(section: str, name: str, bad: Sequence[str]) -> CheckResult:
+    return CheckResult(section, name, "PASS" if not bad else "FAIL", "; ".join(bad))
+
+
+def _lie_dimensions(max_rank: int) -> CheckResult:
     bad = []
     for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
         for r in range(lo, max_rank + 1):
@@ -327,50 +271,87 @@ def check_engine_selfchecks(max_rank: int) -> List[CheckResult]:
               CartanType("F", 4), CartanType("G", 2)):
         if 2 * len(positive_roots(t)) + t.rank != t.algebra_dimension:
             bad.append(str(t))
-    out.append(CheckResult("self-checks", f"Lie dimension identities rank <= {max_rank}",
-                           "PASS" if not bad else "FAIL", "; ".join(bad)))
+    return _row("self-checks", f"Lie dimension identities rank <= {max_rank}", bad)
 
-    bad = []
-    seen = set()
+
+def _orbit_structure_ok(kind: str, zs: Tuple[MarkedDynkinDiagram, ...]) -> bool:
+    if kind in ("group", "simple"):
+        return len(zs) == 1 and zs[0].sigma_pairs is None
+    if kind == "hermitian-exceptional":
+        return len(zs) == 2 and find_marked_isomorphism(*zs) is not None
+    return (len(zs) == 1 and zs[0].sigma_pairs is not None
+            and find_marked_isomorphism(*zs[0].sigma_halves()) is not None)
+
+
+# The per-entry parts of four checks, in the order run_all reports them;
+# the rows of the parts in _SHOWN list only their first few failures.  The
+# Kac parts run before vmrt, which raises on a marking that breaks the
+# white-node rule: check_kac_markings alone reports it as FAIL.
+_ENTRY_PARTS = ("dimension-formula", "kac-rules", "components", "kac-labels", "round-trip")
+_NEEDS_VMRT = {"dimension-formula", "components", "round-trip"}
+_SHOWN = {"dimension-formula": 4, "round-trip": 3}
+
+
+def _entry_pass(max_rank: int, parts: Sequence[str]) -> List[CheckResult]:
+    """One walk of the atlas up to max_rank, giving one row per part named
+    in `parts`.  Each entry's Kac diagram and VMRT (which carries Z and
+    dim Z) are built once, shared by the parts and dropped with the entry."""
+    bad: Dict[str, List[str]] = {p: [] for p in _ENTRY_PARTS}
+    count = diagrams = 0
+    label_keys = set()
     for e in enumerate_entries(max_rank):
+        count += 1
+        kac = e.kac_diagram()
+        if "kac-rules" in parts:
+            if not validate_kac_marking(kac, e.kind):
+                bad["kac-rules"].append(e.name)
+            if (e.boundary_degree == 2) != e.restricted.is_type_a:
+                bad["kac-rules"].append(f"{e.name} boundary/type-A mismatch")
         key = (e.kac_base, e.kac_twist)
-        if key in seen:
+        if "kac-labels" in parts and key not in label_keys:
+            label_keys.add(key)
+            try:
+                kac_labels(affine_diagram(*key))
+            except AssertionError as ex:
+                bad["kac-labels"].append(f"{key}: {ex}")
+        if _NEEDS_VMRT.isdisjoint(parts):
             continue
-        seen.add(key)
-        try:
-            kac_labels(affine_diagram(*key))
-        except AssertionError as ex:
-            bad.append(f"{key}: {ex}")
-    out.append(CheckResult("self-checks", f"Kac label null vectors ({len(seen)} diagrams)",
-                           "PASS" if not bad else "FAIL", "; ".join(bad)))
-
-    bad = []
-    count = 0
-    for e in enumerate_entries(max_rank):
-        diagrams = [e.kac_diagram()]
-        diagrams += list(z_orbit_diagram(e.kac_diagram(), e.kind))
-        diagrams += list(vmrt(e).components)
-        for d in diagrams:
-            count += 1
-            text = to_canonical_text(d)
-            if to_canonical_text(parse(text)) != text:
-                bad.append(f"{e.name}: {text!r}")
-    out.append(CheckResult("self-checks", f"canonical round trip ({count} diagrams)",
-                           "PASS" if not bad else "FAIL", "; ".join(bad[:3])))
-    return out
+        v = vmrt(e)
+        if "dimension-formula" in parts:
+            if v.dimension != v.z_dim + e.boundary_degree - 1:
+                bad["dimension-formula"].append(
+                    f"{e.name}: {v.dimension} != {v.z_dim}+{e.boundary_degree}-1")
+            if e.restricted.is_type_a and e.restricted.rank >= 2:
+                gp = v.components[0]
+                gp_dim = parabolic_dimension(gp.diagram, gp.crossed)
+                if gp_dim != v.z_dim + 1:
+                    bad["dimension-formula"].append(
+                        f"{e.name}: ambient {gp_dim} != z+1 = {v.z_dim + 1}")
+        if "components" in parts and not _orbit_structure_ok(e.kind, v.z):
+            bad["components"].append(e.name)
+        if "round-trip" in parts:
+            for d in (kac,) + v.z + v.components:
+                diagrams += 1
+                text = to_canonical_text(d)
+                if to_canonical_text(parse(text)) != text:
+                    bad["round-trip"].append(f"{e.name}: {text!r}")
+    heads = {
+        "dimension-formula": ("dimension-formula", f"{count} entries, rank <= {max_rank}"),
+        "kac-rules": ("kac-rules", f"{count} entries"),
+        "components": ("components", f"{count} entries"),
+        "kac-labels": ("self-checks", f"Kac label null vectors ({len(label_keys)} diagrams)"),
+        "round-trip": ("self-checks", f"canonical round trip ({diagrams} diagrams)"),
+    }
+    return [_row(*heads[p], bad[p][:_SHOWN.get(p)]) for p in parts]
 
 
 def run_all(max_rank: int = 12) -> List[CheckResult]:
-    results: List[CheckResult] = []
-    results += check_golden_tables()
-    results += check_exceptional_dimensions()
-    results += check_dimension_formula(max_rank)
-    results += check_folding()
-    results += check_contact_grading(min(max_rank, 8))
-    results += check_kac_markings(max_rank)
-    results += check_component_structure(max_rank)
-    results += check_engine_selfchecks(max_rank)
-    return results
+    """Every check's rows, in a fixed order; the per-entry checks share one
+    walk of the atlas."""
+    dims, kac, comps, labels, trips = _entry_pass(max_rank, _ENTRY_PARTS)
+    return (check_golden_tables() + check_exceptional_dimensions() + [dims]
+            + check_folding() + check_contact_grading(min(max_rank, 8))
+            + [kac, comps, _lie_dimensions(max_rank), labels, trips])
 
 
 def format_results(results: Sequence[CheckResult]) -> str:

@@ -1,6 +1,9 @@
 """CLI behaviour: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -122,3 +125,12 @@ def test_export_atlas_byte_stable(tmp_path, capsys):
     gg = by_name[("group-G", ())]
     assert gg["identification"] == "G_2/P_2" and gg["vmrt_dim"] == 5
     assert gg["kac"] == "O-o#>o"
+
+
+def test_cli_import_leaves_verify_unloaded():
+    # Only `verify` needs the sweep module; every other command's cold
+    # start skips compiling it and building its golden catalogue.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = "import kacvmrt.cli, sys; assert 'kacvmrt.verify' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

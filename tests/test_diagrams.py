@@ -206,3 +206,14 @@ class TestMarkedDiagram:
         assert m.sigma_left_nodes() == {1, 2}
         with pytest.raises(ValueError):
             marked(both, set(), sigma_pairs=((1, 11),))  # not a cover
+
+    def test_sigma_halves(self):
+        d1 = standard_diagram(CartanType("B", 2))
+        d2 = standard_diagram(CartanType("B", 2), [11, 12])
+        both = DynkinDiagram(d1.nodes + d2.nodes, d1.edges | d2.edges)
+        m = marked(both, {1, 11}, {11: 2}, sigma_pairs=((1, 11), (2, 12)))
+        left, right = m.sigma_halves()
+        assert left == marked(d1, {1})
+        assert right == marked(d2, {11}, {11: 2})
+        with pytest.raises(ValueError):
+            marked(both).sigma_halves()  # no pairing

@@ -131,6 +131,14 @@ class TestVMRT:
             zdim = z_dimension(z_orbit_diagram(e.kac_diagram(), e.kind)[0])
             assert v.dimension == zdim + e.boundary_degree - 1, e.name
 
+    def test_vmrt_carries_z_and_its_dimension(self):
+        # vmrt keeps the Z it reads the VMRT from; recomputing Z must agree.
+        for e in enumerate_entries(12):
+            v = vmrt(e)
+            zs = z_orbit_diagram(e.kac_diagram(), e.kind)
+            assert v.z == zs, e.name
+            assert v.z_dim == z_dimension(zs[0]), e.name
+
 
 class TestFolding:
     def test_displayed_foldings(self):

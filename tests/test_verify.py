@@ -1,0 +1,97 @@
+"""The verification sweep as a whole: `run_all` is the eight checks in a
+fixed order, its text is byte-stable, and its per-entry checks share one
+walk of the atlas that computes each entry's VMRT (and Z) once."""
+
+import dataclasses
+import os
+
+import pytest
+
+from kacvmrt import engine, verify
+from kacvmrt.atlas import lookup
+from kacvmrt.verify import (
+    check_component_structure,
+    check_contact_grading,
+    check_dimension_formula,
+    check_engine_selfchecks,
+    check_exceptional_dimensions,
+    check_folding,
+    check_golden_tables,
+    check_kac_markings,
+    format_results,
+    run_all,
+)
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "verify_rank8.txt")
+
+
+@pytest.mark.parametrize("max_rank", [8, 12])
+def test_run_all_is_the_eight_checks_in_order(max_rank):
+    expected = (check_golden_tables() + check_exceptional_dimensions()
+                + check_dimension_formula(max_rank) + check_folding()
+                + check_contact_grading(min(max_rank, 8)) + check_kac_markings(max_rank)
+                + check_component_structure(max_rank) + check_engine_selfchecks(max_rank))
+    assert run_all(max_rank) == expected
+
+
+def test_run_all_text_is_pinned():
+    # The fixture is `kacvmrt verify --max-rank 8` as written before the
+    # per-entry checks shared one pass; rows, order and details must not move.
+    with open(FIXTURE) as fh:
+        assert format_results(run_all(8)) + "\n" == fh.read()
+
+
+def test_run_all_computes_each_entry_once(monkeypatch):
+    walks, vmrt_args, direct_z = [], [], []
+    real_enumerate, real_vmrt = verify.enumerate_entries, verify.vmrt
+
+    def enumerate_entries(max_rank):
+        found = real_enumerate(max_rank)
+        walks.append(found)
+        return found
+
+    def vmrt(e):
+        vmrt_args.append(e)
+        return real_vmrt(e)
+
+    monkeypatch.setattr(verify, "enumerate_entries", enumerate_entries)
+    monkeypatch.setattr(verify, "vmrt", vmrt)
+    monkeypatch.setattr(verify, "z_orbit_diagram",
+                        lambda *a: direct_z.append(a) or engine.z_orbit_diagram(*a),
+                        raising=False)
+    run_all(12)
+    assert len(walks) <= 2  # the pass, and the contact gradations at rank 8
+    (entries,) = [w for w in walks if len(w) == len(real_enumerate(12))]
+    calls = {}
+    for e in vmrt_args:
+        calls[id(e)] = calls.get(id(e), 0) + 1
+    assert all(calls.get(id(e)) == 1 for e in entries)
+    assert direct_z == []
+
+
+def test_vmrt_computes_z_once(monkeypatch):
+    z_calls = []
+    real_z = engine.z_orbit_diagram
+
+    def z_orbit_diagram(m, kind):
+        z_calls.append(kind)
+        return real_z(m, kind)
+
+    monkeypatch.setattr(engine, "z_orbit_diagram", z_orbit_diagram)
+    (row,) = check_dimension_formula(12)
+    assert row.status == "PASS"
+    assert len(z_calls) == int(row.name.split()[0])  # one Z per entry
+
+
+def test_kac_markings_reports_a_broken_marking(monkeypatch):
+    # White at a label-2 node breaks the group rule; vmrt would raise on
+    # it, so the Kac parts of the pass must not need the VMRT.
+    e = lookup("group-B", {"n": 3})
+    d = e.kac_diagram().diagram
+    label_two = next(v for v in d.nodes if d.label(v) == 2)
+    broken = dataclasses.replace(e, kac_white=(label_two,))
+    monkeypatch.setattr(verify, "enumerate_entries", lambda max_rank: [e, broken])
+    (row,) = check_kac_markings(12)
+    assert (row.status, row.detail) == ("FAIL", broken.name)
+    with pytest.raises(ValueError):
+        check_dimension_formula(12)
