@@ -8,6 +8,12 @@ by mapped neighbours; the oracle is the plain backtracking search over
 `classify` recognises every component from one adjacency map and
 re-validates in Bourbaki index space; the oracle restricts the diagram to
 each component and compares it with the rebuilt Bourbaki diagram.
+`find_marked_isomorphism` must agree with `find_isomorphism` on marked
+tags about whether an isomorphism exists, and the automorphisms the
+renderer minimises over must be the whole group a brute-force search
+finds.  Canonical text must not move under relabelling (for affine
+diagrams: under moving the white nodes by an automorphism), and parsing it
+back must give it again.
 """
 
 import pytest
@@ -16,7 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from kacvmrt.affine import affine_diagram  # noqa: E402
+from kacvmrt.affine import MarkedKacDiagram, affine_diagram, affine_node_count  # noqa: E402
 from kacvmrt.diagrams import (  # noqa: E402
     DynkinDiagram,
     Edge,
@@ -25,9 +31,12 @@ from kacvmrt.diagrams import (  # noqa: E402
     _edge_signature,
     classify,
     find_isomorphism,
+    find_marked_isomorphism,
+    marked,
     parabolic_dimension,
     standard_diagram,
 )
+from kacvmrt.render import _affine_automorphisms, parse, to_canonical_text  # noqa: E402
 from kacvmrt.roots import CartanType, positive_roots  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -270,3 +279,172 @@ def test_classify_matches_oracle_on_relabelled_unions(d):
 @given(near_misses())
 def test_classify_matches_oracle_on_near_misses(d):
     assert _outcome(classify, d) == _outcome(_classify_oracle, d)
+
+
+# ---------------------------------------------------------------------------
+# Automorphisms, marked isomorphisms and canonical text
+
+
+def _all_isomorphisms(d1, d2, t1=None, t2=None):
+    """Every isomorphism d1 -> d2 preserving tags, by exhaustive search."""
+    t1, t2 = t1 or {}, t2 or {}
+    a1, a2 = d1.adjacency(), d2.adjacency()
+    if len(d1.nodes) != len(d2.nodes) or len(d1.edges) != len(d2.edges):
+        return []
+    out, mapping = [], {}
+
+    def extend(i):
+        if i == len(d1.nodes):
+            out.append(dict(mapping))
+            return
+        v = d1.nodes[i]
+        for w in d2.nodes:
+            if w in mapping.values() or t1.get(v) != t2.get(w) or len(a1[v]) != len(a2[w]):
+                continue
+            if all(u not in mapping or (mapping[u] in a2[w]
+                                        and _edge_signature(e, v) == _edge_signature(a2[w][mapping[u]], w))
+                   for u, e in a1[v].items()):
+                mapping[v] = w
+                extend(i + 1)
+                del mapping[v]
+
+    extend(0)
+    return out
+
+
+def _shapes_up_to(rank):
+    """Every affine shape whose finite part has rank <= `rank`."""
+    out = []
+    for fam, lo, hi in (("A", 1, rank), ("B", 2, rank), ("C", 2, rank), ("D", 3, rank)):
+        out += [(CartanType(fam, n), 1) for n in range(lo, hi + 1)]
+    out += [(CartanType(f, n), 1) for f, n in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))]
+    out += [(CartanType("A", n), 2) for n in range(2, 2 * rank + 1)
+            if affine_node_count("A", n, 2) <= rank + 1]
+    out += [(CartanType("D", n), 2) for n in range(3, rank + 2)]
+    out += [(CartanType("E", 6), 2), (CartanType("D", 4), 3)]
+    return out
+
+
+@pytest.mark.parametrize("shape", _shapes_up_to(12), ids=lambda s: f"{s[0]}^({s[1]})")
+def test_affine_automorphisms_are_the_whole_group(shape):
+    a = affine_diagram(*shape)
+    graph = DynkinDiagram(a.nodes, a.edges)
+    brute = {tuple(s[v] for v in a.nodes) for s in _all_isomorphisms(graph, graph)}
+    generated = [tuple(s[v] for v in a.nodes) for s in _affine_automorphisms(a)]
+    assert len(generated) == len(set(generated))
+    assert set(generated) == brute
+
+
+def _tags(m):
+    ann = m.annotation_map
+    return {v: (v in m.crossed, ann.get(v, 0)) for v in m.diagram.nodes}
+
+
+def _marked_iso_ok(iso, m1, m2):
+    return (iso is not None and _is_isomorphism(iso, m1.diagram, m2.diagram, _tags(m1), _tags(m2)))
+
+
+@st.composite
+def marked_unions(draw, max_parts=4):
+    d = draw(finite_unions(max_parts))
+    crossed = draw(st.sets(st.sampled_from(d.nodes)))
+    ann = {v: draw(st.sampled_from([2, 3])) for v in sorted(crossed) if draw(st.booleans())}
+    return marked(d, crossed, ann)
+
+
+def _relabel_marked(m, perm):
+    pairs = None
+    if m.sigma_pairs is not None:
+        pairs = [(perm[a], perm[b]) for a, b in m.sigma_pairs]
+    return marked(_relabel(m.diagram, perm), {perm[v] for v in m.crossed},
+                  {perm[v]: k for v, k in m.annotations}, pairs)
+
+
+@SETTINGS
+@given(marked_unions(), st.data())
+def test_find_marked_isomorphism_on_relabelled_copies(m1, data):
+    ids = data.draw(st.permutations(range(300, 300 + len(m1.diagram.nodes))))
+    m2 = _relabel_marked(m1, dict(zip(m1.diagram.nodes, ids)))
+    assert _marked_iso_ok(find_marked_isomorphism(m1, m2), m1, m2)
+
+
+@SETTINGS
+@given(marked_unions(), st.data())
+def test_find_marked_isomorphism_on_near_misses(m1, data):
+    ids = data.draw(st.permutations(range(300, 300 + len(m1.diagram.nodes))))
+    m2 = _relabel_marked(m1, dict(zip(m1.diagram.nodes, ids)))
+    d2, crossed, ann = m2.diagram, set(m2.crossed), m2.annotation_map
+    how = data.draw(st.sampled_from(["cross", "annotate", "arrow", "rewire"]))
+    if how == "cross":
+        crossed ^= {data.draw(st.sampled_from(d2.nodes))}
+        ann = {v: k for v, k in ann.items() if v in crossed}
+    elif how == "annotate" and crossed:
+        v = data.draw(st.sampled_from(sorted(crossed)))
+        ann[v] = 3 if ann.get(v) == 2 else 2
+    elif d2.edges:
+        e = data.draw(st.sampled_from(sorted(d2.edges)))
+        rest = set(d2.edges) - {e}
+        if how == "arrow" and e.short is not None:
+            rest.add(Edge(e.a, e.b, e.mult, e.other(e.short)))
+        else:
+            joined = {(f.a, f.b) for f in rest}
+            free = [(u, v) for u in d2.nodes for v in d2.nodes if u < v and (u, v) not in joined]
+            if free:
+                u, v = data.draw(st.sampled_from(free))
+                rest.add(Edge(u, v, e.mult, None if e.short is None else u))
+        d2 = DynkinDiagram(d2.nodes, frozenset(rest))
+    try:
+        classify(d2)
+    except UnrecognizedDiagram:
+        return  # marked isomorphisms are between finite diagrams
+    m2 = marked(d2, crossed, ann)
+    iso = find_marked_isomorphism(m1, m2)
+    exists = find_isomorphism(m1.diagram, m2.diagram, _tags(m1), _tags(m2)) is not None
+    assert (iso is not None) == exists
+    if iso is not None:
+        assert _marked_iso_ok(iso, m1, m2)
+
+
+def _assert_canonical(d, relabelled):
+    text = to_canonical_text(d)
+    assert to_canonical_text(relabelled) == text
+    assert to_canonical_text(parse(text)) == text
+
+
+@SETTINGS
+@given(marked_unions(), st.data())
+def test_canonical_text_of_finite_diagrams(m, data):
+    ids = data.draw(st.permutations(range(300, 300 + len(m.diagram.nodes))))
+    _assert_canonical(m, _relabel_marked(m, dict(zip(m.diagram.nodes, ids))))
+
+
+@SETTINGS
+@given(st.sampled_from(_shapes_up_to(8)), st.data())
+def test_canonical_text_of_affine_diagrams(shape, data):
+    a = affine_diagram(*shape)
+    graph = DynkinDiagram(a.nodes, a.edges)
+    aut = data.draw(st.sampled_from(_all_isomorphisms(graph, graph)))
+    white = data.draw(st.sets(st.sampled_from(a.nodes), min_size=1))
+    _assert_canonical(MarkedKacDiagram(a, white), MarkedKacDiagram(a, {aut[w] for w in white}))
+    _assert_canonical(a, a)
+
+
+@SETTINGS
+@given(marked_unions(max_parts=1), st.integers(1, 2), st.data())
+def test_canonical_text_of_sigma_paired_diagrams(half, copies, data):
+    # Each half is `copies` copies of one marked component, as the engine's
+    # Hermitian halves are; sigma pairs copy i with copy i + copies.
+    k = len(half.diagram.nodes)
+    nodes, edges, crossed, ann, pairs = [], set(), set(), {}, []
+    for c in range(2 * copies):
+        shift = {v: v + 1000 * c for v in half.diagram.nodes}
+        part = _relabel_marked(half, shift)
+        nodes += part.diagram.nodes
+        edges |= part.diagram.edges
+        crossed |= part.crossed
+        ann.update(part.annotations)
+        if c < copies:
+            pairs += [(shift[v], v + 1000 * (c + copies)) for v in half.diagram.nodes]
+    m = marked(DynkinDiagram(tuple(nodes), frozenset(edges)), crossed, ann, pairs)
+    ids = data.draw(st.permutations(range(5000, 5000 + 2 * copies * k)))
+    _assert_canonical(m, _relabel_marked(m, dict(zip(nodes, ids))))
