@@ -10,7 +10,7 @@ the dimension counts are computed through.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .roots import CartanType, positive_roots, simple_edges
 
@@ -111,7 +111,7 @@ class DynkinDiagram:
     def restrict(self, keep: Iterable[int]) -> "DynkinDiagram":
         keep_set = set(keep)
         return DynkinDiagram(
-            tuple(v for v in self.nodes if v in keep_set),
+            tuple([v for v in self.nodes if v in keep_set]),
             frozenset(e for e in self.edges if e.a in keep_set and e.b in keep_set),
         )
 
@@ -208,7 +208,7 @@ def _classify_component(
 
     c = branch[0]
     arms = sorted((_chain_from(adj, c, first) for first in adj[c]), key=lambda a: (len(a), a[-1]))
-    lengths = tuple(len(a) for a in arms)
+    lengths = tuple([len(a) for a in arms])
     if lengths[:2] == (1, 1):
         mapping = {c: n - 2, arms[0][0]: n - 1, arms[1][0]: n}
         mapping.update((v, n - 3 - i) for i, v in enumerate(arms[2]))
@@ -332,7 +332,7 @@ class MarkedDynkinDiagram:
         if any(v < 2 for v in ann.values()):
             raise ValueError("annotations are degrees >= 2")
         if self.sigma_pairs is not None:
-            pairs = tuple((a, b) for a, b in self.sigma_pairs)
+            pairs = tuple([(a, b) for a, b in self.sigma_pairs])
             object.__setattr__(self, "sigma_pairs", pairs)
             left = [a for a, _ in pairs]
             right = [b for _, b in pairs]
@@ -350,12 +350,12 @@ class MarkedDynkinDiagram:
         return MarkedDynkinDiagram(
             self.diagram.restrict(keep_set),
             self.crossed & keep_set,
-            tuple((k, v) for k, v in self.annotations if k in keep_set),
+            tuple([(k, v) for k, v in self.annotations if k in keep_set]),
         )
 
     def component_marked(self) -> Tuple["MarkedDynkinDiagram", ...]:
         """Split into per-component marked diagrams (sigma pairing dropped)."""
-        return tuple(self.restrict(comp) for comp in self.diagram.components())
+        return tuple([self.restrict(comp) for comp in self.diagram.components()])
 
     def sigma_left_nodes(self) -> FrozenSet[int]:
         if self.sigma_pairs is None:
@@ -444,13 +444,54 @@ def find_isomorphism(
     return dict(mapping) if extend(0) else None
 
 
+def _mark_key(t: CartanType, mapping: Dict[int, int], mark: Callable[[int], Tuple[bool, int]]):
+    """t and the marks read along the Bourbaki indices, least over t's
+    automorphisms: equal exactly for marked-isomorphic components."""
+    inv = {i: v for v, i in mapping.items()}
+    return t, tuple(min([[mark(inv[aut[i]]) for i in range(1, t.rank + 1)]
+                         for aut in diagram_automorphisms(t)]))
+
+
 def find_marked_isomorphism(
-    m1: "MarkedDynkinDiagram", m2: "MarkedDynkinDiagram"
+    m1: "MarkedDynkinDiagram",
+    m2: "MarkedDynkinDiagram",
+    classes1: Optional[Sequence[Tuple[CartanType, Dict[int, int]]]] = None,
+    classes2: Optional[Sequence[Tuple[CartanType, Dict[int, int]]]] = None,
 ) -> Optional[Dict[int, int]]:
-    """Isomorphism preserving crossings and degree annotations, or None."""
-    tag1 = {v: (v in m1.crossed, m1.annotation_map.get(v, 0)) for v in m1.diagram.nodes}
-    tag2 = {v: (v in m2.crossed, m2.annotation_map.get(v, 0)) for v in m2.diagram.nodes}
-    return find_isomorphism(m1.diagram, m2.diagram, tag1, tag2)
+    """Isomorphism preserving crossings and degree annotations, or None.
+
+    Both diagrams must be finite (`classify` raises otherwise).  classes1
+    and classes2 are the `classify` results of what to match when the
+    caller has them; they may also split one diagram into two halves.
+    Components are matched by `_mark_key`, and each matched pair is the
+    composition of the two Bourbaki relabellings with an automorphism of
+    the type.  Of all marked isomorphisms this returns the one whose images,
+    read in source node order, are least.
+    """
+    if len(m1.diagram.nodes) != len(m2.diagram.nodes):
+        return None
+    ann1, ann2 = m1.annotation_map, m2.annotation_map
+    mark1 = lambda v: (v in m1.crossed, ann1.get(v, 0))  # noqa: E731
+    mark2 = lambda v: (v in m2.crossed, ann2.get(v, 0))  # noqa: E731
+    free: Dict[object, List[Dict[int, int]]] = {}
+    for t, mapping in classify(m2.diagram) if classes2 is None else classes2:
+        free.setdefault(_mark_key(t, mapping, mark2), []).append({i: v for v, i in mapping.items()})
+    iso: Dict[int, int] = {}
+    for t, mapping in classify(m1.diagram) if classes1 is None else classes1:
+        targets = free.get(_mark_key(t, mapping, mark1))
+        if not targets:
+            return None
+        order = sorted(mapping)
+        best = None
+        for k, inv in enumerate(targets):
+            for aut in diagram_automorphisms(t):
+                images = [inv[aut[mapping[v]]] for v in order]
+                if (best is None or images < best[0]) and all(
+                        mark1(v) == mark2(w) for v, w in zip(order, images)):
+                    best = images, k
+        iso.update(zip(order, best[0]))
+        del targets[best[1]]
+    return iso
 
 
 def marked(

@@ -11,7 +11,7 @@ resulting rational homogeneous spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .affine import MarkedKacDiagram, validate_kac_marking
 from .atlas import SymmetricSpaceEntry
@@ -30,24 +30,19 @@ from .diagrams import (
 from .roots import CartanType
 
 
-def _single_orbit_half(m: MarkedKacDiagram, w: int) -> MarkedDynkinDiagram:
-    """Steps (a)-(b) for one chosen white node."""
-    d = m.diagram
-    around = d.adjacency()[w]
-    crossed = [v for v in sorted(around) if v not in m.white]
-    ann: Dict[int, int] = {}
-    for v in crossed:
-        e = around[v]
-        # The degree annotation fires only when the white node sits at the
-        # long end of a multiple bond (arrow pointing away from it).
-        if e.mult >= 2 and e.short == v:
-            ann[v] = e.mult
-    finite = d.finite_part(tuple(sorted(m.white)))
+def _orbit_half(around: Dict[int, Edge], white: FrozenSet[int],
+                finite: DynkinDiagram) -> MarkedDynkinDiagram:
+    """Steps (a)-(b) for the white node with bonds `around`, on the diagram
+    `finite` left by deleting the whites (step c)."""
+    crossed = [v for v in sorted(around) if v not in white]
+    # The degree annotation fires only when the white node sits at the long
+    # end of a multiple bond (arrow pointing away from it).
+    ann = {v: around[v].mult for v in crossed if around[v].mult >= 2 and around[v].short == v}
     return marked(finite, crossed, ann)
 
 
 def _shift_marked(m: MarkedDynkinDiagram, offset: int) -> MarkedDynkinDiagram:
-    nodes = tuple(v + offset for v in m.diagram.nodes)
+    nodes = tuple([v + offset for v in m.diagram.nodes])
     edges = frozenset(
         Edge(e.a + offset, e.b + offset, e.mult, None if e.short is None else e.short + offset)
         for e in m.diagram.edges
@@ -55,7 +50,7 @@ def _shift_marked(m: MarkedDynkinDiagram, offset: int) -> MarkedDynkinDiagram:
     return marked(
         DynkinDiagram(nodes, edges),
         frozenset(v + offset for v in m.crossed),
-        tuple((k + offset, v) for k, v in m.annotations),
+        tuple([(k + offset, v) for k, v in m.annotations]),
     )
 
 
@@ -72,34 +67,28 @@ def z_orbit_diagram(m: MarkedKacDiagram, kind: str) -> Tuple[MarkedDynkinDiagram
             "(white nodes must carry the prescribed Kac labels)"
         )
     whites = sorted(m.white)
+    adj = m.diagram.adjacency()
+    finite = m.diagram.finite_part(tuple(whites))
+    halves = [_orbit_half(adj[w], m.white, finite) for w in whites]
     if kind in ("group", "simple"):
-        return (_single_orbit_half(m, whites[0]),)
-    h0 = _single_orbit_half(m, whites[0])
-    h1 = _single_orbit_half(m, whites[1])
+        return (halves[0],)
     if kind == "hermitian-exceptional":
-        return (h0, h1)
+        return tuple(halves)
 
     # Non-exceptional: one sigma-paired diagram out of two disjoint copies.
-    if not h0.diagram.nodes:
+    # Both halves mark the one diagram `finite`, classified once.
+    h0, h1 = halves
+    if not finite.nodes:
         return (marked(DynkinDiagram(()), sigma_pairs=()),)
-    offset = max(h0.diagram.nodes) + 1
-    h1s = _shift_marked(h1, offset)
-    iso = find_marked_isomorphism(h0, _shift_marked(h1, 0))
+    classes = classify(finite)
+    iso = find_marked_isomorphism(h0, h1, classes, classes)
     if iso is None:
         raise AssertionError("non-exceptional halves are not isomorphic")
-    union = DynkinDiagram(
-        h0.diagram.nodes + h1s.diagram.nodes,
-        h0.diagram.edges | h1s.diagram.edges,
-    )
-    pairs = tuple(sorted((v, iso[v] + offset) for v in h0.diagram.nodes))
-    return (
-        marked(
-            union,
-            h0.crossed | h1s.crossed,
-            tuple(h0.annotations) + tuple(h1s.annotations),
-            pairs,
-        ),
-    )
+    offset = max(finite.nodes) + 1
+    h1s = _shift_marked(h1, offset)
+    union = DynkinDiagram(finite.nodes + h1s.diagram.nodes, finite.edges | h1s.diagram.edges)
+    pairs = tuple(sorted([(v, iso[v] + offset) for v in finite.nodes]))
+    return (marked(union, h0.crossed | h1s.crossed, h0.annotations + h1s.annotations, pairs),)
 
 
 def z_dimension(z: MarkedDynkinDiagram) -> int:
@@ -365,10 +354,12 @@ def entry_folding_pair(e: SymmetricSpaceEntry) -> str:
     return pair
 
 
-def fold_consistency(e: SymmetricSpaceEntry) -> bool:
-    """Does folding the ambient VMRT diagram reproduce the Z diagram?"""
+def fold_consistency(e: SymmetricSpaceEntry, v: Optional[VMRTDescription] = None) -> bool:
+    """Does folding the ambient VMRT diagram reproduce the Z diagram?  v is
+    vmrt(e) when the caller has it."""
     pair = entry_folding_pair(e)
-    v = vmrt(e)
+    if v is None:
+        v = vmrt(e)
     (z,) = v.z
     return find_marked_isomorphism(fold(v.components[0], pair), z) is not None
 

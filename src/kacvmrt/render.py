@@ -10,7 +10,8 @@ golden tests and equality checks:
              D_4 is o-o(o)-o and affine E_6 is o-o-o(o-O)-o-o
   cycles     a leading @ closes the written chain into a cycle (the
              untwisted affine A_n diagrams)
-  components joined by " + "; a sigma-paired diagram ends in " ~sigma"
+  components joined by " + "; a sigma-paired diagram writes one half, then
+             the other, and ends in " ~sigma"
 
 Texts are canonical: isomorphic marked diagrams always render to the same
 string (the renderer minimises over the diagram's automorphisms), and
@@ -20,11 +21,11 @@ and JSON emitters are presentation-only and never parsed back.
 
 from __future__ import annotations
 
-import itertools
 import json
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .affine import AffineDiagram, MarkedKacDiagram, affine_diagram
+from .affine import AffineDiagram, MarkedKacDiagram, affine_automorphisms, recognize_affine
+from .atlas import MAX_RANK
 from .diagrams import (
     DynkinDiagram,
     Edge,
@@ -32,7 +33,6 @@ from .diagrams import (
     UnrecognizedDiagram,
     classify,
     diagram_automorphisms,
-    find_isomorphism,
     find_marked_isomorphism,
     marked,
 )
@@ -121,82 +121,6 @@ def _affine_spine(a: AffineDiagram) -> Optional[Spine]:
     if f == "D":
         return _chain_spine(range(0, l + 1))
     return _chain_spine([1, 2, 3, 4, 0])  # E_6^(2)
-
-
-def _affine_automorphisms(a: AffineDiagram) -> Tuple[Dict[int, int], ...]:
-    """The full automorphism group of each affine shape, hardcoded."""
-    f, n, tw = a.base.family, a.base.rank, a.twist
-    nodes = list(a.nodes)
-    ident = {v: v for v in nodes}
-    l = a.num_nodes - 1
-
-    def perm(mapping: Dict[int, int]) -> Dict[int, int]:
-        out = dict(ident)
-        out.update(mapping)
-        return out
-
-    if tw == 1:
-        if f == "A" and n == 1:
-            return (ident, perm({0: 1, 1: 0}))
-        if f == "A":
-            cyc = list(range(n + 1))
-            res = []
-            for r in range(n + 1):
-                rot = cyc[r:] + cyc[:r]
-                res.append({cyc[i]: rot[i] for i in range(n + 1)})
-                rev = rot[::-1]
-                res.append({cyc[i]: rev[i] for i in range(n + 1)})
-            return tuple(res)
-        if f == "B":
-            return (ident, perm({0: 1, 1: 0}))
-        if f == "C":
-            return (ident, {v: n - v for v in nodes})
-        if f == "D":
-            if n == 3:
-                # the 4-cycle 0-2-1-3: dihedral group
-                cyc = [0, 2, 1, 3]
-                res = []
-                for r in range(4):
-                    rot = cyc[r:] + cyc[:r]
-                    res.append({cyc[i]: rot[i] for i in range(4)})
-                    rev = rot[::-1]
-                    res.append({cyc[i]: rev[i] for i in range(4)})
-                return tuple(res)
-            if n == 4:
-                res = []
-                for p in itertools.permutations((0, 1, 3, 4)):
-                    res.append({0: p[0], 1: p[1], 3: p[2], 4: p[3], 2: 2})
-                return tuple(res)
-            flips = [ident, {v: n - v for v in nodes}]
-            swaps01 = [ident, perm({0: 1, 1: 0})]
-            swapsnn = [ident, perm({n - 1: n, n: n - 1})]
-            res = []
-            for x in flips:
-                for y in swaps01:
-                    for z in swapsnn:
-                        res.append({v: z[y[x[v]]] for v in nodes})
-            return tuple(res)
-        if f == "E" and n == 6:
-            arms = [(3, 1), (5, 6), (2, 0)]
-            res = []
-            for p in itertools.permutations(range(3)):
-                m = {4: 4}
-                for i, j in enumerate(p):
-                    m[arms[i][0]], m[arms[i][1]] = arms[j][0], arms[j][1]
-                res.append(m)
-            return tuple(res)
-        if f == "E" and n == 7:
-            return (ident, perm({0: 7, 7: 0, 1: 6, 6: 1, 3: 5, 5: 3}))
-        return (ident,)
-    if tw == 2:
-        if f == "A" and n == 3:
-            return (ident, {v: 2 - v for v in nodes})
-        if f == "A" and n % 2 == 1 and n >= 5:
-            return (ident, perm({0: 1, 1: 0}))
-        if f == "D":
-            return (ident, {v: l - v for v in nodes})
-        return (ident,)
-    return (ident,)
 
 
 # ---------------------------------------------------------------------------
@@ -299,23 +223,15 @@ def _cycle_order(adj: Dict[int, Dict[int, Edge]]) -> List[int]:
 
 
 def _affine_canonical(a: AffineDiagram, marks: Dict[int, str]) -> str:
+    """The least text over the automorphisms of a; a cycle is written as
+    the chain of its nodes after an "@"."""
     adj = a.adjacency()
     edge_of = _edge_lookup(adj)
-    base_spine = _affine_spine(a)
-    texts = []
-    if base_spine is None:
-        # cycle: nodes in cyclic order starting anywhere, both directions
-        cyc = _cycle_order(adj)
-        k = len(cyc)
-        for r in range(k):
-            for seq in (cyc[r:] + cyc[:r], (cyc[r:] + cyc[:r])[::-1]):
-                texts.append("@" + _render_chain(seq, edge_of, marks))
-    else:
-        for aut in _affine_automorphisms(a):
-            spine = [(aut[v], [[aut[x] for x in br] for br in brs])
-                     for v, brs in base_spine]
-            texts.append(_render_spine(spine, edge_of, marks))
-    return min(texts)
+    spine = _affine_spine(a)
+    head = "" if spine is not None else "@"
+    spine = spine or _chain_spine(_cycle_order(adj))
+    return min([head + _render_spine([(aut[v], [[aut[x] for x in br] for br in brs]) for v, brs in spine],
+                                     edge_of, marks) for aut in affine_automorphisms(a)])
 
 
 def to_canonical_text(d: Diagram) -> str:
@@ -330,10 +246,13 @@ def to_canonical_text(d: Diagram) -> str:
         _component_canonical(t, mapping, edge_of, marks)
         for t, mapping in classify(md.diagram)
     )
-    text = " + ".join(parts)
-    if md.sigma_pairs is not None and text:
-        text += " ~sigma"
-    return text
+    if md.sigma_pairs is not None and parts:
+        # The halves are isomorphic, so every other part spells one half:
+        # written twice, parse splits the text in the middle.
+        if parts[::2] != parts[1::2]:
+            raise ValueError("sigma halves are not isomorphic")
+        return " + ".join(parts[::2] * 2) + " ~sigma"
+    return " + ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -474,37 +393,6 @@ class _Parser:
             raise self.error("unexpected trailing input")
 
 
-def _recognize_affine(d: DynkinDiagram, num_nodes: int) -> Optional[Tuple[AffineDiagram, Dict[int, int]]]:
-    """Match a parsed connected multigraph against the affine catalogue."""
-    candidates: List[Tuple[CartanType, int]] = []
-    r = num_nodes - 1
-    for fam in "ABCDEFG":
-        try:
-            candidates.append((CartanType(fam, r), 1))
-        except ValueError:
-            pass
-    for base, tw in [
-        (("A", 2 * r), 2), (("A", 2 * r - 1), 2), (("D", num_nodes), 2),
-        (("E", 6), 2), (("D", 4), 3),
-    ]:
-        try:
-            candidates.append((CartanType(base[0], base[1]), tw))
-        except ValueError:
-            pass
-    for base, tw in candidates:
-        try:
-            a = affine_diagram(base, tw)
-        except (ValueError, AssertionError):
-            continue
-        if a.num_nodes != num_nodes:
-            continue
-        target = DynkinDiagram(a.nodes, a.edges)
-        iso = find_isomorphism(d, target)
-        if iso is not None:
-            return a, iso
-    return None
-
-
 def parse(s: str) -> Diagram:
     """Inverse of to_canonical_text (up to isomorphism); rejects malformed
     input with position-annotated errors."""
@@ -514,38 +402,33 @@ def parse(s: str) -> Diagram:
     d = DynkinDiagram(tuple(b.nodes), frozenset(b.edges))
     if not b.white:
         try:
-            md = marked(d, b.crossed, b.ann)
-            classify(d)  # raises on non-finite shapes
-            if p.sigma:
-                comps = d.components()
-                if len(comps) % 2 != 0:
-                    raise ParseError("sigma needs an even number of components", len(s))
-                halves = md.component_marked()
-                k = len(comps) // 2
-                left = halves[:k]
-                right = halves[k:]
-                pairs: List[Tuple[int, int]] = []
-                for lm, rm in zip(left, right):
-                    iso = find_marked_isomorphism(lm, rm)
-                    if iso is None:
-                        raise ParseError("sigma halves are not isomorphic", len(s))
-                    pairs.extend(sorted(iso.items()))
-                md = marked(d, b.crossed, b.ann, tuple(sorted(pairs)))
-            return md
+            classes = classify(d)
         except UnrecognizedDiagram:
             pass  # fall through to affine recognition
+        else:
+            if not p.sigma:
+                return marked(d, b.crossed, b.ann)
+            if len(classes) % 2 != 0:
+                raise ParseError("sigma needs an even number of components", len(s))
+            # The first half of the components is sigma's left half.
+            md, k = marked(d, b.crossed, b.ann), len(classes) // 2
+            iso = find_marked_isomorphism(md, md, classes[:k], classes[k:])
+            if iso is None:
+                raise ParseError("sigma halves are not isomorphic", len(s))
+            return marked(d, b.crossed, b.ann, sorted(iso.items()))
     if b.crossed:
         raise ParseError("crossed nodes only occur in finite diagrams", len(s))
-    comps = d.components()
-    if len(comps) != 1:
+    if len(b.nodes) > MAX_RANK + 1:
+        raise ParseError(f"an affine diagram has at most MAX_RANK + 1 = {MAX_RANK + 1} nodes", len(s))
+    if len(d.components()) != 1:
         raise ParseError("an affine diagram is connected", len(s))
-    hit = _recognize_affine(d, len(b.nodes))
+    hit = recognize_affine(d)
     if hit is None:
         raise ParseError("not a recognised finite or affine diagram", len(s))
     a, iso = hit
     if not b.white:
         return a
-    return MarkedKacDiagram(a, frozenset(iso[w] for w in b.white))
+    return MarkedKacDiagram(a, frozenset([iso[w] for w in b.white]))
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ def cartan_matrix(t: CartanType) -> Tuple[Tuple[int, ...], ...]:
             lng = i if short == j else j
             a[lng - 1][short - 1] = -mult
             a[short - 1][lng - 1] = -1
-    return tuple(tuple(row) for row in a)
+    return tuple([tuple(row) for row in a])
 
 
 @dataclass(frozen=True, order=True)
@@ -150,10 +150,10 @@ class Root:
 
     def support(self) -> Tuple[int, ...]:
         """1-based indices of the nonzero coefficients."""
-        return tuple(i + 1 for i, c in enumerate(self.coeffs) if c != 0)
+        return tuple([i + 1 for i, c in enumerate(self.coeffs) if c != 0])
 
     def __neg__(self) -> "Root":
-        return Root(tuple(-c for c in self.coeffs))
+        return Root(tuple([-c for c in self.coeffs]))
 
     def coefficient(self, node: int) -> int:
         """Coefficient at the 1-based simple root index `node`."""
@@ -173,7 +173,7 @@ def positive_roots(t: CartanType) -> Tuple[Root, ...]:
     """
     n = t.rank
     a = cartan_matrix(t)
-    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    simples = [tuple([1 if j == i else 0 for j in range(n)]) for i in range(n)]
     found = set(simples)
     frontier = list(simples)
     while frontier:
@@ -198,7 +198,7 @@ def positive_roots(t: CartanType) -> Tuple[Root, ...]:
                         nxt.append(cand)
         frontier = nxt
     ordered = sorted(found, key=lambda c: (sum(c), c))
-    return tuple(Root(c) for c in ordered)
+    return tuple([Root(c) for c in ordered])
 
 
 @lru_cache(maxsize=None)
@@ -210,7 +210,7 @@ def _gram(t: CartanType) -> Tuple[Tuple[int, ...], ...]:
     g = [[(a[i][j] * norms[j]) // 2 for j in range(n)] for i in range(n)]
     for i in range(n):
         g[i][i] = norms[i]
-    return tuple(tuple(row) for row in g)
+    return tuple([tuple(row) for row in g])
 
 
 def root_norm(t: CartanType, r: Root) -> int:

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .affine import affine_diagram, kac_labels, validate_kac_marking
 from .atlas import SymmetricSpaceEntry, enumerate_entries, lookup
 from .diagrams import MarkedDynkinDiagram, find_marked_isomorphism, parabolic_dimension
-from .engine import contact_grading_check, fold, fold_consistency, vmrt
+from .engine import VMRTDescription, contact_grading_check, fold, fold_consistency, vmrt
 from .render import parse, to_canonical_text
 from .roots import CartanType, positive_roots
 
@@ -145,15 +145,28 @@ GOLDEN: Tuple[GoldenRow, ...] = (
 
 
 def _entry_flags(e: SymmetricSpaceEntry) -> Tuple[str, ...]:
-    return tuple(n.split(":", 1)[0] for n in e.notes)
+    return tuple([n.split(":", 1)[0] for n in e.notes])
 
 
-def check_golden_tables() -> List[CheckResult]:
+# VMRTs by (label, params) as the atlas stores them, shared by the checks of
+# one run so that each entry's VMRT is computed once.
+VMRTs = Dict[Tuple[str, tuple], Optional[VMRTDescription]]
+
+
+def _vmrt_of(label: str, params: Optional[Dict[str, int]], vmrts: VMRTs):
+    """The entry and its VMRT, from vmrts or computed into it."""
+    e = lookup(label, params)
+    if vmrts.get((e.label, e.params)) is None:
+        vmrts[(e.label, e.params)] = vmrt(e)
+    return e, vmrts[(e.label, e.params)]
+
+
+def check_golden_tables(vmrts: Optional[VMRTs] = None) -> List[CheckResult]:
     out: List[CheckResult] = []
+    vmrts = {} if vmrts is None else vmrts
     for row in GOLDEN:
-        e = lookup(row.label, row.params)
-        v = vmrt(e)
-        got_texts = tuple(to_canonical_text(c) for c in v.components)
+        e, v = _vmrt_of(row.label, row.params, vmrts)
+        got_texts = tuple([to_canonical_text(c) for c in v.components])
         problems = []
         if got_texts != row.texts:
             problems.append(f"diagram {got_texts} != {row.texts}")
@@ -172,25 +185,20 @@ def check_golden_tables() -> List[CheckResult]:
     return out
 
 
-_EXCEPTIONAL_DIMS = {"group-G": 5, "group-F": 15}
-_EXCEPTIONAL_E = {6: 21, 7: 33, 8: 57}
+# (label, params, row name, dimension): the exceptional adjoint varieties
+# and OG(2, 2n+1), the adjoint variety of B_n.
+_DIMENSION_ROWS = (
+    [(label, {}, f"{label} adjoint dim", want) for label, want in (("group-F", 15), ("group-G", 5))]
+    + [("group-E", {"n": n}, f"group-E{n} adjoint dim", want) for n, want in ((6, 21), (7, 33), (8, 57))]
+    + [("group-B", {"n": n}, f"OG(2,{2 * n + 1}) dim", 4 * n - 5) for n in range(2, 9)])
 
 
-def check_exceptional_dimensions() -> List[CheckResult]:
+def check_exceptional_dimensions(vmrts: Optional[VMRTs] = None) -> List[CheckResult]:
     out = []
-    for label, want in sorted(_EXCEPTIONAL_DIMS.items()):
-        got = vmrt(lookup(label)).dimension
-        status = "PASS" if got == want else "FAIL"
-        out.append(CheckResult("dims", f"{label} adjoint dim", status, f"{got} (want {want})"))
-    for n, want in sorted(_EXCEPTIONAL_E.items()):
-        got = vmrt(lookup("group-E", {"n": n})).dimension
-        status = "PASS" if got == want else "FAIL"
-        out.append(CheckResult("dims", f"group-E{n} adjoint dim", status, f"{got} (want {want})"))
-    for n in range(2, 9):
-        got = vmrt(lookup("group-B", {"n": n})).dimension
-        want = 4 * n - 5
-        status = "PASS" if got == want else "FAIL"
-        out.append(CheckResult("dims", f"OG(2,{2 * n + 1}) dim", status, f"{got} (want {want})"))
+    vmrts = {} if vmrts is None else vmrts
+    for label, params, name, want in _DIMENSION_ROWS:
+        got = _vmrt_of(label, params, vmrts)[1].dimension
+        out.append(CheckResult("dims", name, "PASS" if got == want else "FAIL", f"{got} (want {want})"))
     return out
 
 
@@ -198,29 +206,30 @@ def check_dimension_formula(max_rank: int) -> List[CheckResult]:
     return _entry_pass(max_rank, ("dimension-formula",))
 
 
-def check_folding() -> List[CheckResult]:
-    cases: List[Tuple[str, Dict[str, int]]] = []
-    cases += [("group-A", {"n": r}) for r in range(2, 11)]
-    cases += [("AI", {"n": n}) for n in range(1, 6)]        # restricted A_2..A_10, even
-    cases += [("AII", {"n": n}) for n in range(3, 12)]      # restricted A_2..A_10
-    cases.append(("EIV", {}))
-    bad = []
-    for label, params in cases:
-        e = lookup(label, params)
-        if not fold_consistency(e):
-            bad.append(e.name)
-    out = [_row("folding", f"{len(cases)} foldable entries", bad)]
+_FOLDING_CASES = ([("group-A", {"n": r}) for r in range(2, 11)]
+                  + [("AI", {"n": n}) for n in range(1, 6)]      # restricted A_2..A_10, even
+                  + [("AII", {"n": n}) for n in range(3, 12)]    # restricted A_2..A_10
+                  + [("EIV", {})])
+# The three classical folding instances.  The first is traditionally
+# captioned nu_2(P^9) -> Q_8, one rank below the drawn diagrams (ten nodes
+# folding onto five): the drawn instance is nu_2(P^10) -> nu_2(Q_9).
+_FOLDING_DISPLAYS = [
+    ("AI", {"n": 5}, "ab", "x[2]-o-o-o=>o", "nu_2(P^10) -> nu_2(Q_9)"),
+    ("AII", {"n": 5}, "ac", "o-x-o-o<=o", "Gr(2,10) -> IG(2,10)"),
+    ("EIV", {}, "ef", "o-o=>o-x", "E_6/P_6 -> F_4/P_4"),
+]
 
-    # The three classical folding instances.  The first is traditionally
-    # captioned nu_2(P^9) -> Q_8, one rank below the drawn diagrams (ten
-    # nodes folding onto five): the drawn instance is nu_2(P^10) -> nu_2(Q_9).
-    displays = [
-        ("AI", {"n": 5}, "ab", "x[2]-o-o-o=>o", "nu_2(P^10) -> nu_2(Q_9)"),
-        ("AII", {"n": 5}, "ac", "o-x-o-o<=o", "Gr(2,10) -> IG(2,10)"),
-        ("EIV", {}, "ef", "o-o=>o-x", "E_6/P_6 -> F_4/P_4"),
-    ]
-    for label, params, pair, want, note in displays:
-        v = vmrt(lookup(label, params))
+
+def check_folding(vmrts: Optional[VMRTs] = None) -> List[CheckResult]:
+    vmrts = {} if vmrts is None else vmrts
+    bad = []
+    for label, params in _FOLDING_CASES:
+        e, v = _vmrt_of(label, params, vmrts)
+        if not fold_consistency(e, v):
+            bad.append(e.name)
+    out = [_row("folding", f"{len(_FOLDING_CASES)} foldable entries", bad)]
+    for label, params, pair, want, note in _FOLDING_DISPLAYS:
+        v = _vmrt_of(label, params, vmrts)[1]
         got = to_canonical_text(fold(v.components[0], pair))
         ok = got == want and got == to_canonical_text(v.z[0])
         out.append(CheckResult("folding", f"displayed folding {note}",
@@ -292,10 +301,11 @@ _NEEDS_VMRT = {"dimension-formula", "components", "round-trip"}
 _SHOWN = {"dimension-formula": 4, "round-trip": 3}
 
 
-def _entry_pass(max_rank: int, parts: Sequence[str]) -> List[CheckResult]:
+def _entry_pass(max_rank: int, parts: Sequence[str], vmrts: Optional[VMRTs] = None) -> List[CheckResult]:
     """One walk of the atlas up to max_rank, giving one row per part named
     in `parts`.  Each entry's Kac diagram and VMRT (which carries Z and
-    dim Z) are built once, shared by the parts and dropped with the entry."""
+    dim Z) are built once, shared by the parts and dropped with the entry,
+    unless its (label, params) is a key of vmrts: its VMRT is kept there."""
     bad: Dict[str, List[str]] = {p: [] for p in _ENTRY_PARTS}
     count = diagrams = 0
     label_keys = set()
@@ -317,6 +327,8 @@ def _entry_pass(max_rank: int, parts: Sequence[str]) -> List[CheckResult]:
         if _NEEDS_VMRT.isdisjoint(parts):
             continue
         v = vmrt(e)
+        if vmrts is not None and (e.label, e.params) in vmrts:
+            vmrts[(e.label, e.params)] = v
         if "dimension-formula" in parts:
             if v.dimension != v.z_dim + e.boundary_degree - 1:
                 bad["dimension-formula"].append(
@@ -347,10 +359,14 @@ def _entry_pass(max_rank: int, parts: Sequence[str]) -> List[CheckResult]:
 
 def run_all(max_rank: int = 12) -> List[CheckResult]:
     """Every check's rows, in a fixed order; the per-entry checks share one
-    walk of the atlas."""
-    dims, kac, comps, labels, trips = _entry_pass(max_rank, _ENTRY_PARTS)
-    return (check_golden_tables() + check_exceptional_dimensions() + [dims]
-            + check_folding() + check_contact_grading(min(max_rank, 8))
+    walk of the atlas, which keeps the VMRTs of the entries the golden, dims
+    and folding checks name for them."""
+    named = ([(row.label, row.params) for row in GOLDEN] + _FOLDING_CASES
+             + [row[:2] for row in _DIMENSION_ROWS + _FOLDING_DISPLAYS])
+    vmrts: VMRTs = {(label, tuple(sorted(params.items()))): None for label, params in named}
+    dims, kac, comps, labels, trips = _entry_pass(max_rank, _ENTRY_PARTS, vmrts)
+    return (check_golden_tables(vmrts) + check_exceptional_dimensions(vmrts) + [dims]
+            + check_folding(vmrts) + check_contact_grading(min(max_rank, 8))
             + [kac, comps, _lie_dimensions(max_rank), labels, trips])
 
 

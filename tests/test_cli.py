@@ -43,6 +43,8 @@ def test_dim_rejects_bad_input(capsys):
     assert code == 2 and "syntax error" in err
     code, _, err = run(capsys, "dim", "@O-o-o")
     assert code == 2 and "finite" in err
+    code, _, err = run(capsys, "dim", "@" + "-".join(["o"] * 1000))
+    assert code == 2 and "MAX_RANK" in err
 
 
 def test_fold_command(capsys):

@@ -22,7 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from kacvmrt.affine import MarkedKacDiagram, affine_diagram, affine_node_count  # noqa: E402
+from kacvmrt.affine import MarkedKacDiagram, affine_automorphisms, affine_diagram, affine_node_count  # noqa: E402
 from kacvmrt.diagrams import (  # noqa: E402
     DynkinDiagram,
     Edge,
@@ -36,7 +36,7 @@ from kacvmrt.diagrams import (  # noqa: E402
     parabolic_dimension,
     standard_diagram,
 )
-from kacvmrt.render import _affine_automorphisms, parse, to_canonical_text  # noqa: E402
+from kacvmrt.render import parse, to_canonical_text  # noqa: E402
 from kacvmrt.roots import CartanType, positive_roots  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -330,7 +330,7 @@ def test_affine_automorphisms_are_the_whole_group(shape):
     a = affine_diagram(*shape)
     graph = DynkinDiagram(a.nodes, a.edges)
     brute = {tuple(s[v] for v in a.nodes) for s in _all_isomorphisms(graph, graph)}
-    generated = [tuple(s[v] for v in a.nodes) for s in _affine_automorphisms(a)]
+    generated = [tuple(s[v] for v in a.nodes) for s in affine_automorphisms(a)]
     assert len(generated) == len(set(generated))
     assert set(generated) == brute
 

@@ -4,9 +4,17 @@ import json
 
 import pytest
 
-from kacvmrt.affine import AffineDiagram, MarkedKacDiagram, affine_diagram
+from kacvmrt.affine import AffineDiagram, MarkedKacDiagram, affine_diagram, recognize_affine
+from kacvmrt.atlas import MAX_RANK
 from kacvmrt.atlas import enumerate_entries, lookup
-from kacvmrt.diagrams import MarkedDynkinDiagram, find_marked_isomorphism, standard_marked
+from kacvmrt.diagrams import (
+    DynkinDiagram,
+    Edge,
+    MarkedDynkinDiagram,
+    find_marked_isomorphism,
+    marked,
+    standard_marked,
+)
 from kacvmrt.engine import vmrt, z_orbit_diagram
 from kacvmrt.render import (
     ParseError,
@@ -208,3 +216,57 @@ def test_empty_diagram_round_trips():
     text = to_canonical_text(z)
     assert text == ""
     assert to_canonical_text(parse(text)) == text
+
+
+def test_affine_input_is_bounded():
+    # A cycle of 1,000 nodes used to exhaust the recursion of the old
+    # backtracking search; affine input is capped at MAX_RANK + 1 nodes.
+    with pytest.raises(ParseError, match="MAX_RANK"):
+        parse("@" + "-".join(["o"] * 1000))
+    with pytest.raises(ParseError, match="MAX_RANK"):
+        parse("O-" + "o-" * 800 + "o####O")
+    a = parse("@" + "-".join(["o"] * (MAX_RANK + 1)))
+    assert (a.base, a.twist) == (CartanType("A", MAX_RANK), 1)
+
+
+_SHAPES = ([(CartanType(f, n), 1) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+            for n in range(lo, 13)]
+           + [(CartanType(f, n), 1) for f, n in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))]
+           + [(CartanType("A", n), 2) for n in range(2, 25)] + [(CartanType("D", n), 2) for n in range(3, 14)]
+           + [(CartanType("E", 6), 2), (CartanType("D", 4), 3)])
+# Coinciding shapes read back as the first catalogue name.
+_READ_AS = {(CartanType("C", 2), 1): (CartanType("B", 2), 1),
+            (CartanType("D", 3), 1): (CartanType("A", 3), 1),
+            (CartanType("D", 3), 2): (CartanType("A", 3), 2)}
+
+
+@pytest.mark.parametrize("shape", _SHAPES, ids=lambda s: f"{s[0]}^({s[1]})")
+def test_affine_recognition_from_every_deletion_node(shape):
+    # Recognition deletes the least leaf (the least node of a cycle), so
+    # renumbering each node to be least exercises every deletion.
+    a = affine_diagram(*shape)
+    for v in a.nodes:
+        ids = {u: (u + 1 if u != v else 0) for u in a.nodes}
+        d = DynkinDiagram(tuple(ids.values()), frozenset(
+            Edge(min(ids[e.a], ids[e.b]), max(ids[e.a], ids[e.b]), e.mult,
+                 None if e.short is None else ids[e.short]) for e in a.edges))
+        got, iso = recognize_affine(d)
+        assert (got.base, got.twist) == _READ_AS.get(shape, shape)
+        assert {Edge(min(iso[e.a], iso[e.b]), max(iso[e.a], iso[e.b]), e.mult,
+                     None if e.short is None else iso[e.short]) for e in d.edges} == set(got.edges)
+
+
+def test_sigma_halves_of_several_components_round_trip():
+    # Each half is o-x + x.  The text writes one half, then the other, so
+    # that parse can split it in the middle.
+    ids = [(10, 11, 12), (20, 21, 22)]
+    edges = frozenset([Edge(a, b) for a, b, _ in ids])
+    d = DynkinDiagram(tuple(v for t in ids for v in t), edges)
+    m = marked(d, {11, 12, 21, 22}, sigma_pairs=[(10, 20), (11, 21), (12, 22)])
+    text = to_canonical_text(m)
+    assert text == "o-x + x + o-x + x ~sigma"
+    back = parse(text)
+    assert to_canonical_text(back) == text
+    assert find_marked_isomorphism(*back.sigma_halves()) is not None
+    with pytest.raises(ValueError, match="isomorphic"):
+        to_canonical_text(marked(d, {11, 12}, sigma_pairs=[(10, 20), (11, 21), (12, 22)]))

@@ -1,0 +1,27 @@
+"""Rules that hold over the source of the package."""
+
+import ast
+import os
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "kacvmrt")
+
+
+def test_no_tuple_of_a_generator():
+    """`tuple(x for x in ...)` sizes its result by a guess of 10 and then
+    resizes it, so every call moves a tuple from CPython's size-10 free
+    list to the free list of its final size.  Only a full collection
+    empties those lists, and a program that makes no reference cycles gets
+    none: they fill up and keep their memory.  `tuple([...])` allocates the
+    final size at once."""
+    found = []
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "tuple" and node.args
+                    and isinstance(node.args[0], ast.GeneratorExp)):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []

@@ -95,3 +95,24 @@ def test_kac_markings_reports_a_broken_marking(monkeypatch):
     assert (row.status, row.detail) == ("FAIL", broken.name)
     with pytest.raises(ValueError):
         check_dimension_formula(12)
+
+
+@pytest.mark.parametrize("max_rank", [8, 12])
+def test_run_all_computes_one_vmrt_per_entry(monkeypatch, max_rank):
+    # The golden, dims and folding checks take the VMRTs of the entries
+    # they name from the pass; those above max_rank they compute once.
+    names = []
+    real_vmrt = engine.vmrt
+
+    def vmrt(e):
+        names.append(e.name)
+        return real_vmrt(e)
+
+    monkeypatch.setattr(verify, "vmrt", vmrt)
+    monkeypatch.setattr(engine, "vmrt", vmrt)
+    run_all(max_rank)
+    assert len(names) == len(set(names))
+    named = {lookup(row.label, row.params).name for row in verify.GOLDEN}
+    named |= {lookup(label, params).name for label, params in verify._FOLDING_CASES}
+    assert named <= set(names)
+    assert {e.name for e in verify.enumerate_entries(max_rank)} <= set(names)
