@@ -316,9 +316,11 @@ def recognize_affine(d: DynkinDiagram) -> Optional[Tuple[AffineDiagram, Dict[int
             iso = _extensions(src, zero)[0]
             if not _carries(iso, d.edges, a.edges):
                 return None
-            for v in d.nodes:  # the automorphisms giving v its least image
+            for v in d.nodes:  # keep the automorphisms giving v its least image
                 least = min([aut[iso[v]] for aut in auts])
                 auts = [aut for aut in auts if aut[iso[v]] == least]
+                if len(auts) == 1:
+                    break
             return a, {v: auts[0][w] for v, w in iso.items()}
     return None
 

@@ -228,10 +228,12 @@ def _affine_canonical(a: AffineDiagram, marks: Dict[int, str]) -> str:
     adj = a.adjacency()
     edge_of = _edge_lookup(adj)
     spine = _affine_spine(a)
-    head = "" if spine is not None else "@"
-    spine = spine or _chain_spine(_cycle_order(adj))
-    return min([head + _render_spine([(aut[v], [[aut[x] for x in br] for br in brs]) for v, brs in spine],
-                                     edge_of, marks) for aut in affine_automorphisms(a)])
+    auts = affine_automorphisms(a)
+    if spine is None:
+        cyc = _cycle_order(adj)
+        return min(["@" + _render_chain([aut[v] for v in cyc], edge_of, marks) for aut in auts])
+    return min([_render_spine([(aut[v], [[aut[x] for x in br] for br in brs]) for v, brs in spine],
+                              edge_of, marks) for aut in auts])
 
 
 def to_canonical_text(d: Diagram) -> str:
