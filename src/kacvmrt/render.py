@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .affine import AffineDiagram, MarkedKacDiagram, affine_automorphisms, recognize_affine
+from .affine import AffineDiagram, MarkedKacDiagram
 from .atlas import MAX_RANK
 from .diagrams import (
     DynkinDiagram,
@@ -225,6 +225,8 @@ def _cycle_order(adj: Dict[int, Dict[int, Edge]]) -> List[int]:
 def _affine_canonical(a: AffineDiagram, marks: Dict[int, str]) -> str:
     """The least text over the automorphisms of a; a cycle is written as
     the chain of its nodes after an "@"."""
+    from .recognition import affine_automorphisms
+
     adj = a.adjacency()
     edge_of = _edge_lookup(adj)
     spine = _affine_spine(a)
@@ -424,6 +426,8 @@ def parse(s: str) -> Diagram:
         raise ParseError(f"an affine diagram has at most MAX_RANK + 1 = {MAX_RANK + 1} nodes", len(s))
     if len(d.components()) != 1:
         raise ParseError("an affine diagram is connected", len(s))
+    from .recognition import recognize_affine
+
     hit = recognize_affine(d)
     if hit is None:
         raise ParseError("not a recognised finite or affine diagram", len(s))

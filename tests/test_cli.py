@@ -136,3 +136,13 @@ def test_cli_import_leaves_verify_unloaded():
     code = "import kacvmrt.cli, sys; assert 'kacvmrt.verify' not in sys.modules"
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_vmrt_leaves_recognition_unloaded():
+    # Affine recognition serves parsing and affine canonical text only; a
+    # `vmrt` query compiles none of it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import kacvmrt.cli, sys; kacvmrt.cli.main(['vmrt', 'herm-CI', '--n', '4', '--format', "
+            "'canonical']); assert 'kacvmrt.recognition' not in sys.modules")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env, capture_output=True).returncode == 0

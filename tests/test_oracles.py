@@ -22,7 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from kacvmrt.affine import MarkedKacDiagram, affine_automorphisms, affine_diagram, affine_node_count  # noqa: E402
+from kacvmrt.affine import MarkedKacDiagram, affine_diagram, affine_node_count  # noqa: E402
 from kacvmrt.diagrams import (  # noqa: E402
     DynkinDiagram,
     Edge,
@@ -36,6 +36,7 @@ from kacvmrt.diagrams import (  # noqa: E402
     parabolic_dimension,
     standard_diagram,
 )
+from kacvmrt.recognition import affine_automorphisms  # noqa: E402
 from kacvmrt.render import parse, to_canonical_text  # noqa: E402
 from kacvmrt.roots import CartanType, positive_roots  # noqa: E402
 

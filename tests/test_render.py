@@ -4,9 +4,8 @@ import json
 
 import pytest
 
-from kacvmrt.affine import AffineDiagram, MarkedKacDiagram, affine_diagram, recognize_affine
-from kacvmrt.atlas import MAX_RANK
-from kacvmrt.atlas import enumerate_entries, lookup
+from kacvmrt.affine import AffineDiagram, MarkedKacDiagram, affine_diagram
+from kacvmrt.atlas import MAX_RANK, enumerate_entries, lookup
 from kacvmrt.diagrams import (
     DynkinDiagram,
     Edge,
@@ -16,6 +15,7 @@ from kacvmrt.diagrams import (
     standard_marked,
 )
 from kacvmrt.engine import vmrt, z_orbit_diagram
+from kacvmrt.recognition import recognize_affine
 from kacvmrt.render import (
     ParseError,
     parse,
