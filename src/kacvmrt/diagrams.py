@@ -383,7 +383,9 @@ def find_isomorphism(
     tag1: Optional[Mapping[int, object]] = None,
     tag2: Optional[Mapping[int, object]] = None,
 ) -> Optional[Dict[int, int]]:
-    """Backtracking isomorphism of two small labelled multigraphs.
+    """Backtracking isomorphism of two small labelled multigraphs: the
+    test oracle for `find_marked_isomorphism` and affine recognition,
+    which nothing in the package calls.
 
     Node tags (e.g. crossing/annotation data, Kac labels) must be preserved;
     edge multiplicities and arrow directions always are.  Returns a node
