@@ -1,5 +1,6 @@
 """CLI behaviour: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -127,6 +128,17 @@ def test_export_atlas_byte_stable(tmp_path, capsys):
     gg = by_name[("group-G", ())]
     assert gg["identification"] == "G_2/P_2" and gg["vmrt_dim"] == 5
     assert gg["kac"] == "O-o#>o"
+
+
+# SHA-256 of `kacvmrt export-atlas --max-rank 12`: the catalogue must not
+# move when the way it is computed does.
+EXPORT_RANK12_SHA256 = "7a860b98540dd43bc9449279608fcfe26323093e1e9ca3eceda00bbd98c3940b"
+
+
+def test_export_atlas_rank12_is_pinned(tmp_path, capsys):
+    out = tmp_path / "atlas.json"
+    assert run(capsys, "export-atlas", "--max-rank", "12", "--out", str(out))[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_RANK12_SHA256
 
 
 def test_cli_import_leaves_verify_unloaded():
