@@ -31,6 +31,7 @@ from .diagrams import (
     Edge,
     MarkedDynkinDiagram,
     UnrecognizedDiagram,
+    _mark_key,
     classify,
     diagram_automorphisms,
     find_marked_isomorphism,
@@ -414,11 +415,17 @@ def parse(s: str) -> Diagram:
                 return marked(d, b.crossed, b.ann)
             if len(classes) % 2 != 0:
                 raise ParseError("sigma needs an even number of components", len(s))
-            # The first half of the components is sigma's left half.
-            md, k = marked(d, b.crossed, b.ann), len(classes) // 2
-            iso = find_marked_isomorphism(md, md, classes[:k], classes[k:])
-            if iso is None:
+            # Halve each class of marked-isomorphic components, in text order.
+            md = marked(d, b.crossed, b.ann)
+            mark = lambda v: (v in md.crossed, b.ann.get(v, 0))  # noqa: E731
+            groups: Dict[object, list] = {}
+            for c in classes:
+                groups.setdefault(_mark_key(*c, mark), []).append(c)
+            if any(len(g) % 2 for g in groups.values()):
                 raise ParseError("sigma halves are not isomorphic", len(s))
+            left = [c for g in groups.values() for c in g[:len(g) // 2]]
+            right = [c for g in groups.values() for c in g[len(g) // 2:]]
+            iso = find_marked_isomorphism(md, md, left, right)
             return marked(d, b.crossed, b.ann, sorted(iso.items()))
     if b.crossed:
         raise ParseError("crossed nodes only occur in finite diagrams", len(s))

@@ -207,6 +207,16 @@ def test_parse_sigma_requires_matching_halves():
         parse("o-o + o-o + o-o ~sigma")  # odd component count
     with pytest.raises(ParseError, match="isomorphic"):
         parse("x-o + o-o ~sigma")
+    with pytest.raises(ParseError, match="isomorphic"):
+        parse("o-x + o-x + x + o-o ~sigma")  # x and o-o occur once each
+
+
+def test_parse_sigma_accepts_any_component_order():
+    # Each half is o-x + x; the text need not write one half, then the other.
+    for text in ("o-x + o-x + x + x ~sigma", "x + o-x + o-x + x ~sigma"):
+        back = parse(text)
+        assert to_canonical_text(back) == "o-x + x + o-x + x ~sigma"
+        assert find_marked_isomorphism(*back.sigma_halves()) is not None
 
 
 def test_empty_diagram_round_trips():
@@ -257,8 +267,7 @@ def test_affine_recognition_from_every_deletion_node(shape):
 
 
 def test_sigma_halves_of_several_components_round_trip():
-    # Each half is o-x + x.  The text writes one half, then the other, so
-    # that parse can split it in the middle.
+    # Each half is o-x + x.  The text writes one half, then the other.
     ids = [(10, 11, 12), (20, 21, 22)]
     edges = frozenset([Edge(a, b) for a, b, _ in ids])
     d = DynkinDiagram(tuple(v for t in ids for v in t), edges)
