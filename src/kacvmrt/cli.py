@@ -75,6 +75,7 @@ def _params(args) -> dict:
 
 def _entry_json(e) -> dict:
     v = vmrt(e)
+    z = [to_canonical_text(c) for c in v.z]
     return {
         "label": e.label,
         "params": dict(e.params),
@@ -84,9 +85,9 @@ def _entry_json(e) -> dict:
         "kac": to_canonical_text(e.kac_diagram()),
         "restricted_type": str(e.restricted),
         "boundary_degree": e.boundary_degree,
-        "z": [to_canonical_text(z) for z in v.z],
+        "z": z,
         "z_dim": v.z_dim,
-        "vmrt": [to_canonical_text(c) for c in v.components],
+        "vmrt": z if v.components is v.z else [to_canonical_text(c) for c in v.components],
         "vmrt_kind": v.kind,
         "vmrt_dim": v.dimension,
         "identification": v.identification,

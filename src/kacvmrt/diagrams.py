@@ -14,6 +14,8 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional,
 
 from .roots import CartanType, positive_roots, simple_edges
 
+Classes = Sequence[Tuple[CartanType, Dict[int, int]]]  # what classify returns
+
 
 @dataclass(frozen=True, order=True)
 class Edge:
@@ -272,22 +274,22 @@ def diagram_automorphisms(t: CartanType) -> Tuple[Dict[int, int], ...]:
     return (ident,)
 
 
-def _num_positive_roots(d: DynkinDiagram) -> int:
-    return sum(t.num_positive_roots for t, _ in classify(d))
+def _num_positive_roots(d: DynkinDiagram, classes: Optional[Classes] = None) -> int:
+    return sum(t.num_positive_roots for t, _ in (classify(d) if classes is None else classes))
 
 
-def parabolic_dimension(d: DynkinDiagram, marked: Iterable[int]) -> int:
+def parabolic_dimension(d: DynkinDiagram, marked: Iterable[int], classes: Optional[Classes] = None) -> int:
     """Number of positive roots supported on at least one marked node.
 
     This is dim G/P for the parabolic P crossing `marked`, counted as
     |Phi+(G)| - |Phi+(L)| with the Levi L the diagram minus the marked
-    nodes (Bourbaki's root counts per simple factor).
+    nodes (Bourbaki's root counts per simple factor); classes is classify(d).
     """
     marked_set = set(marked)
     unknown = marked_set - set(d.nodes)
     if unknown:
         raise ValueError(f"node {sorted(unknown)[0]} not in diagram")
-    return _num_positive_roots(d) - _num_positive_roots(d.delete(marked_set))
+    return _num_positive_roots(d, classes) - _num_positive_roots(d.delete(marked_set))
 
 
 def graded_dimensions(d: DynkinDiagram, marked: Iterable[int]) -> Dict[int, int]:
@@ -457,8 +459,8 @@ def _mark_key(t: CartanType, mapping: Dict[int, int], mark: Callable[[int], Tupl
 def find_marked_isomorphism(
     m1: "MarkedDynkinDiagram",
     m2: "MarkedDynkinDiagram",
-    classes1: Optional[Sequence[Tuple[CartanType, Dict[int, int]]]] = None,
-    classes2: Optional[Sequence[Tuple[CartanType, Dict[int, int]]]] = None,
+    classes1: Optional[Classes] = None,
+    classes2: Optional[Classes] = None,
 ) -> Optional[Dict[int, int]]:
     """Isomorphism preserving crossings and degree annotations, or None.
 

@@ -16,6 +16,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from .affine import MarkedKacDiagram, validate_kac_marking
 from .atlas import SymmetricSpaceEntry
 from .diagrams import (
+    Classes,
     DynkinDiagram,
     Edge,
     MarkedDynkinDiagram,
@@ -91,12 +92,13 @@ def z_orbit_diagram(m: MarkedKacDiagram, kind: str) -> Tuple[MarkedDynkinDiagram
     return (marked(union, h0.crossed | h1s.crossed, h0.annotations + h1s.annotations, pairs),)
 
 
-def z_dimension(z: MarkedDynkinDiagram) -> int:
-    """dim Z: positive roots over the crossed nodes, one sigma half only."""
+def z_dimension(z: MarkedDynkinDiagram, classes: Optional[Classes] = None) -> int:
+    """dim Z: positive roots over the crossed nodes, one sigma half only;
+    classes is classify(z.diagram) for a Z without sigma pairs."""
     if z.sigma_pairs is not None:
         left = z.sigma_left_nodes()
         return parabolic_dimension(z.diagram.restrict(left), z.crossed & left)
-    return parabolic_dimension(z.diagram, z.crossed)
+    return parabolic_dimension(z.diagram, z.crossed, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +144,18 @@ def _component_name(t: CartanType, crossed: Tuple[int, ...], ann: Dict[int, int]
     return name
 
 
-def identify(v: MarkedDynkinDiagram) -> str:
+def identify(v: MarkedDynkinDiagram, classes: Optional[Classes] = None) -> str:
     """Human-readable name: Gr/OG/LG/IG/Q/P/Veronese patterns with a total
-    fallback; sigma-paired diagrams name their two halves."""
+    fallback; sigma-paired diagrams name their two halves.  classes as in
+    z_dimension."""
     if not v.diagram.nodes:
         return "P^0"
     if v.sigma_pairs is not None:
         return " u ".join(identify(h) for h in v.sigma_halves())
     names: List[Tuple[int, str]] = []
-    for (t, mapping), comp in zip(classify(v.diagram), v.diagram.components()):
-        comp_set = set(comp)
-        crossed = tuple(sorted(mapping[x] for x in v.crossed & comp_set))
-        ann = {mapping[k]: d for k, d in v.annotations if k in comp_set}
+    for t, mapping in classify(v.diagram) if classes is None else classes:
+        crossed = tuple(sorted(mapping[x] for x in v.crossed if x in mapping))
+        ann = {mapping[k]: d for k, d in v.annotations if k in mapping}
         names.append((t.rank, _component_name(t, crossed, ann)))
     names.sort(key=lambda p: (-p[0], p[1]))
     return " x ".join(n for _, n in names)
@@ -202,7 +204,9 @@ def vmrt(e: SymmetricSpaceEntry) -> VMRTDescription:
     compactification of e, as marked diagram(s) plus dimension and name."""
     kac = e.kac_diagram()
     zs = z_orbit_diagram(kac, e.kind)
-    zdims = {z_dimension(z) for z in zs}
+    # Every Z marks the one diagram z_orbit_diagram builds: recognise it once.
+    classes = None if zs[0].sigma_pairs is not None else classify(zs[0].diagram)
+    zdims = {z_dimension(z, classes) for z in zs}
     if len(zdims) != 1:
         raise AssertionError("orbit halves have different dimensions")
     zdim = zdims.pop()
@@ -212,7 +216,7 @@ def vmrt(e: SymmetricSpaceEntry) -> VMRTDescription:
             kind="legendrian-Z",
             components=zs,
             dimension=zdim,
-            identification=" u ".join(identify(z) for z in zs),
+            identification=" u ".join(identify(z, classes) for z in zs),
             z=zs, z_dim=zdim,
         )
     if e.restricted.rank >= 2:
@@ -364,12 +368,12 @@ def fold_consistency(e: SymmetricSpaceEntry, v: Optional[VMRTDescription] = None
     return find_marked_isomorphism(fold(v.components[0], pair), z) is not None
 
 
-def contact_grading_check(e: SymmetricSpaceEntry) -> bool:
+def contact_grading_check(e: SymmetricSpaceEntry, v: Optional[VMRTDescription] = None) -> bool:
     """Group type only: the grading by the crossed nodes of Z has depth 2
-    with one-dimensional top piece (the contact gradation)."""
+    with one-dimensional top piece (the contact gradation); v, if given, is vmrt(e)."""
     if e.kind != "group":
         raise ValueError(f"{e.name} is not of group type")
-    (z,) = z_orbit_diagram(e.kac_diagram(), e.kind)
+    (z,) = z_orbit_diagram(e.kac_diagram(), e.kind) if v is None else v.z
     dims = graded_dimensions(z.diagram, z.crossed)
     top = max(dims)
     return top == 2 and dims[2] == 1

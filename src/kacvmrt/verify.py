@@ -238,19 +238,7 @@ def check_folding(vmrts: Optional[VMRTs] = None) -> List[CheckResult]:
 
 
 def check_contact_grading(max_rank: int = 8) -> List[CheckResult]:
-    bad = []
-    count = 0
-    for e in enumerate_entries(max_rank):
-        if e.kind != "group" or e.kac_base.rank > max_rank:
-            continue
-        if e.kac_base == CartanType("A", 1):
-            # sl_2 carries no depth-2 gradation; the contact statement
-            # explicitly excludes PGL_2.
-            continue
-        count += 1
-        if not contact_grading_check(e):
-            bad.append(e.name)
-    return [_row("contact", f"{count} group entries, rank <= {max_rank}", bad)]
+    return _entry_pass(max_rank, ("contact",))
 
 
 def check_kac_markings(max_rank: int) -> List[CheckResult]:
@@ -292,23 +280,28 @@ def _orbit_structure_ok(kind: str, zs: Tuple[MarkedDynkinDiagram, ...]) -> bool:
             and find_marked_isomorphism(*zs[0].sigma_halves()) is not None)
 
 
-# The per-entry parts of four checks, in the order run_all reports them;
+# The per-entry parts of five checks, in the order run_all reports them;
 # the rows of the parts in _SHOWN list only their first few failures.  The
 # Kac parts run before vmrt, which raises on a marking that breaks the
-# white-node rule: check_kac_markings alone reports it as FAIL.
-_ENTRY_PARTS = ("dimension-formula", "kac-rules", "components", "kac-labels", "round-trip")
+# white-node rule: check_kac_markings alone reports it as FAIL.  The
+# contact part needs the VMRT of the group entries only.
+_ENTRY_PARTS = ("dimension-formula", "contact", "kac-rules", "components", "kac-labels", "round-trip")
 _NEEDS_VMRT = {"dimension-formula", "components", "round-trip"}
 _SHOWN = {"dimension-formula": 4, "round-trip": 3}
 
 
-def _entry_pass(max_rank: int, parts: Sequence[str], vmrts: Optional[VMRTs] = None) -> List[CheckResult]:
+def _entry_pass(max_rank: int, parts: Sequence[str], vmrts: Optional[VMRTs] = None,
+                contact_rank: Optional[int] = None) -> List[CheckResult]:
     """One walk of the atlas up to max_rank, giving one row per part named
-    in `parts`.  Each entry's Kac diagram and VMRT (which carries Z and
-    dim Z) are built once, shared by the parts and dropped with the entry,
-    unless its (label, params) is a key of vmrts: its VMRT is kept there."""
+    in `parts`; the contact part checks the group entries up to
+    contact_rank (default max_rank).  Each entry's Kac diagram and VMRT
+    (which carries Z and dim Z) are built once, shared by the parts and
+    dropped with the entry, unless its (label, params) is a key of vmrts:
+    its VMRT is kept there."""
     bad: Dict[str, List[str]] = {p: [] for p in _ENTRY_PARTS}
-    count = diagrams = 0
+    count = contacts = diagrams = 0
     label_keys = set()
+    contact_rank = max_rank if contact_rank is None else contact_rank
     for e in enumerate_entries(max_rank):
         count += 1
         kac = e.kac_diagram()
@@ -324,11 +317,19 @@ def _entry_pass(max_rank: int, parts: Sequence[str], vmrts: Optional[VMRTs] = No
                 kac_labels(affine_diagram(*key))
             except AssertionError as ex:
                 bad["kac-labels"].append(f"{key}: {ex}")
-        if _NEEDS_VMRT.isdisjoint(parts):
+        # sl_2 carries no depth-2 gradation; the contact statement
+        # explicitly excludes PGL_2.
+        contact = ("contact" in parts and e.kind == "group" and e.kac_base.rank <= contact_rank
+                   and e.kac_base != CartanType("A", 1))
+        if _NEEDS_VMRT.isdisjoint(parts) and not contact:
             continue
         v = vmrt(e)
         if vmrts is not None and (e.label, e.params) in vmrts:
             vmrts[(e.label, e.params)] = v
+        if contact:
+            contacts += 1
+            if not contact_grading_check(e, v):
+                bad["contact"].append(e.name)
         if "dimension-formula" in parts:
             if v.dimension != v.z_dim + e.boundary_degree - 1:
                 bad["dimension-formula"].append(
@@ -342,13 +343,16 @@ def _entry_pass(max_rank: int, parts: Sequence[str], vmrts: Optional[VMRTs] = No
         if "components" in parts and not _orbit_structure_ok(e.kind, v.z):
             bad["components"].append(e.name)
         if "round-trip" in parts:
-            for d in (kac,) + v.z + v.components:
-                diagrams += 1
+            # A Legendrian entry's VMRT diagrams are its Z diagrams: each
+            # object is read back once but counted as before.
+            diagrams += 1 + len(v.z) + len(v.components)
+            for d in (kac,) + v.z + (() if v.components is v.z else v.components):
                 text = to_canonical_text(d)
                 if to_canonical_text(parse(text)) != text:
                     bad["round-trip"].append(f"{e.name}: {text!r}")
     heads = {
         "dimension-formula": ("dimension-formula", f"{count} entries, rank <= {max_rank}"),
+        "contact": ("contact", f"{contacts} group entries, rank <= {contact_rank}"),
         "kac-rules": ("kac-rules", f"{count} entries"),
         "components": ("components", f"{count} entries"),
         "kac-labels": ("self-checks", f"Kac label null vectors ({len(label_keys)} diagrams)"),
@@ -364,9 +368,10 @@ def run_all(max_rank: int = 12) -> List[CheckResult]:
     named = ([(row.label, row.params) for row in GOLDEN] + _FOLDING_CASES
              + [row[:2] for row in _DIMENSION_ROWS + _FOLDING_DISPLAYS])
     vmrts: VMRTs = {(label, tuple(sorted(params.items()))): None for label, params in named}
-    dims, kac, comps, labels, trips = _entry_pass(max_rank, _ENTRY_PARTS, vmrts)
+    dims, contact, kac, comps, labels, trips = _entry_pass(
+        max_rank, _ENTRY_PARTS, vmrts, contact_rank=min(max_rank, 8))
     return (check_golden_tables(vmrts) + check_exceptional_dimensions(vmrts) + [dims]
-            + check_folding(vmrts) + check_contact_grading(min(max_rank, 8))
+            + check_folding(vmrts) + [contact]
             + [kac, comps, _lie_dimensions(max_rank), labels, trips])
 
 

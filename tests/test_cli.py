@@ -130,6 +130,20 @@ def test_export_atlas_byte_stable(tmp_path, capsys):
     assert gg["kac"] == "O-o#>o"
 
 
+def test_entry_json_renders_each_diagram_once(monkeypatch):
+    # A Legendrian entry's VMRT diagrams are its Z diagrams: rendered once.
+    texts = []
+    real = cli.to_canonical_text
+    monkeypatch.setattr(cli, "to_canonical_text", lambda d: texts.append(d) or real(d))
+    for e in cli.enumerate_entries(8):
+        texts.clear()
+        record = cli._entry_json(e)
+        v = cli.vmrt(e)
+        shared = v.components is v.z
+        assert len(texts) == 1 + len(v.z) + (0 if shared else len(v.components)), e.name
+        assert record["vmrt"] == [real(c) for c in v.components]
+
+
 # SHA-256 of `kacvmrt export-atlas --max-rank 12`: the catalogue must not
 # move when the way it is computed does.
 EXPORT_RANK12_SHA256 = "7a860b98540dd43bc9449279608fcfe26323093e1e9ca3eceda00bbd98c3940b"

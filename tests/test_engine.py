@@ -2,6 +2,7 @@
 
 import pytest
 
+from kacvmrt import diagrams, engine
 from kacvmrt.affine import MarkedKacDiagram, affine_diagram
 from kacvmrt.atlas import enumerate_entries, lookup
 from kacvmrt.diagrams import parabolic_dimension, standard_marked
@@ -138,6 +139,26 @@ class TestVMRT:
             zs = z_orbit_diagram(e.kac_diagram(), e.kind)
             assert v.z == zs, e.name
             assert v.z_dim == z_dimension(zs[0]), e.name
+
+    def test_vmrt_recognises_each_z_diagram_once(self, monkeypatch):
+        # dim Z and the name share one classification of the Z diagram; a
+        # sigma-paired Z works on its halves instead.
+        recognised, made = [], []
+        real_classify, real_z = diagrams.classify, engine.z_orbit_diagram
+
+        def classify(d):
+            recognised.append(d)
+            return real_classify(d)
+
+        monkeypatch.setattr(diagrams, "classify", classify)
+        monkeypatch.setattr(engine, "classify", classify)
+        monkeypatch.setattr(engine, "z_orbit_diagram", lambda *a: made.append(real_z(*a)) or made[-1])
+        for e in enumerate_entries(8):
+            recognised.clear()
+            vmrt(e)
+            for z in made.pop():
+                if z.sigma_pairs is None:
+                    assert sum(d is z.diagram for d in recognised) == 1, e.name
 
 
 class TestFolding:

@@ -100,9 +100,10 @@ def test_kac_markings_reports_a_broken_marking(monkeypatch):
 @pytest.mark.parametrize("max_rank", [8, 12])
 def test_run_all_computes_one_vmrt_per_entry(monkeypatch, max_rank):
     # The golden, dims and folding checks take the VMRTs of the entries
-    # they name from the pass; those above max_rank they compute once.
-    names = []
-    real_vmrt = engine.vmrt
+    # they name from the pass; those above max_rank they compute once.  The
+    # contact gradations read Z from the pass's VMRTs.
+    names, z_calls = [], []
+    real_vmrt, real_z = engine.vmrt, engine.z_orbit_diagram
 
     def vmrt(e):
         names.append(e.name)
@@ -110,9 +111,27 @@ def test_run_all_computes_one_vmrt_per_entry(monkeypatch, max_rank):
 
     monkeypatch.setattr(verify, "vmrt", vmrt)
     monkeypatch.setattr(engine, "vmrt", vmrt)
+    monkeypatch.setattr(engine, "z_orbit_diagram", lambda *a: z_calls.append(a) or real_z(*a))
     run_all(max_rank)
     assert len(names) == len(set(names))
+    assert len(z_calls) == len(names)  # one Z per distinct entry
     named = {lookup(row.label, row.params).name for row in verify.GOLDEN}
     named |= {lookup(label, params).name for label, params in verify._FOLDING_CASES}
     assert named <= set(names)
     assert {e.name for e in verify.enumerate_entries(max_rank)} <= set(names)
+
+
+def test_round_trip_reads_each_diagram_object_once(monkeypatch):
+    # A Legendrian entry's VMRT diagrams are its Z diagrams: read back once,
+    # but counted in the row as before.
+    parsed = []
+    real_parse = verify.parse
+    monkeypatch.setattr(verify, "parse", lambda text: parsed.append(text) or real_parse(text))
+    rows = {r.name: r for r in run_all(12)}
+    once = counted = 0
+    for e in verify.enumerate_entries(12):
+        v = engine.vmrt(e)
+        once += 1 + len(v.z) + (0 if v.components is v.z else len(v.components))
+        counted += 1 + len(v.z) + len(v.components)
+    assert len(parsed) == once < counted
+    assert f"canonical round trip ({counted} diagrams)" in rows
