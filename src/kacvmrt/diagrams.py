@@ -283,7 +283,7 @@ def parabolic_dimension(d: DynkinDiagram, marked: Iterable[int], classes: Option
 
     This is dim G/P for the parabolic P crossing `marked`, counted as
     |Phi+(G)| - |Phi+(L)| with the Levi L the diagram minus the marked
-    nodes (Bourbaki's root counts per simple factor); classes is classify(d).
+    nodes (Bourbaki's root counts per simple factor); classes, if given, is classify(d).
     """
     marked_set = set(marked)
     unknown = marked_set - set(d.nodes)

@@ -94,7 +94,7 @@ def z_orbit_diagram(m: MarkedKacDiagram, kind: str) -> Tuple[MarkedDynkinDiagram
 
 def z_dimension(z: MarkedDynkinDiagram, classes: Optional[Classes] = None) -> int:
     """dim Z: positive roots over the crossed nodes, one sigma half only;
-    classes is classify(z.diagram) for a Z without sigma pairs."""
+    classes, if given, is classify(z.diagram); a sigma-paired Z ignores it."""
     if z.sigma_pairs is not None:
         left = z.sigma_left_nodes()
         return parabolic_dimension(z.diagram.restrict(left), z.crossed & left)
