@@ -371,8 +371,7 @@ def run_all(max_rank: int = 12) -> List[CheckResult]:
     dims, contact, kac, comps, labels, trips = _entry_pass(
         max_rank, _ENTRY_PARTS, vmrts, contact_rank=min(max_rank, 8))
     return (check_golden_tables(vmrts) + check_exceptional_dimensions(vmrts) + [dims]
-            + check_folding(vmrts) + [contact]
-            + [kac, comps, _lie_dimensions(max_rank), labels, trips])
+            + check_folding(vmrts) + [contact, kac, comps, _lie_dimensions(max_rank), labels, trips])
 
 
 def format_results(results: Sequence[CheckResult]) -> str:
