@@ -16,24 +16,23 @@ it leaves B_l (A_2l^(2)), C_l (A_{2l-1}^(2)), B_l (D_{l+1}^(2)), F_4
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .diagrams import DynkinDiagram, Edge, adjacency_map, classify, standard_diagram
-from .roots import CartanType, cartan_matrix, highest_root, simple_norms
+from .roots import CartanType, Record, cartan_matrix, highest_root, simple_norms
 
 
-@dataclass(frozen=True)
-class AffineDiagram:
-    """The affine diagram base^(twist) on nodes 0..l with Kac labels."""
+class AffineDiagram(Record):
+    """The affine diagram base^(twist) on nodes 0..l with Kac labels
+    (labels indexed by node id)."""
 
-    base: CartanType
-    twist: int
-    nodes: Tuple[int, ...]
-    edges: FrozenSet[Edge]
-    labels: Tuple[int, ...]  # indexed by node id
+    __slots__ = ("base", "twist", "nodes", "edges", "labels")
+
+    def __init__(self, base: CartanType, twist: int, nodes: Tuple[int, ...],
+                 edges: FrozenSet[Edge], labels: Tuple[int, ...]) -> None:
+        self._set(base, twist, nodes, edges, labels)
 
     @property
     def num_nodes(self) -> int:
@@ -201,21 +200,20 @@ def kac_labels(a: AffineDiagram) -> Tuple[int, ...]:
     return a.labels
 
 
-@dataclass(frozen=True)
-class MarkedKacDiagram:
+class MarkedKacDiagram(Record):
     """An affine diagram with a black/white colouring: white nodes are the
     lowest weights of the isotropy representation, black nodes the simple
     roots of the symmetric subgroup."""
 
-    diagram: AffineDiagram
-    white: FrozenSet[int] = field(default_factory=frozenset)
+    __slots__ = ("diagram", "white")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "white", frozenset(self.white))
-        if not self.white:
+    def __init__(self, diagram: AffineDiagram, white: Iterable[int] = frozenset()) -> None:
+        white = frozenset(white)
+        if not white:
             raise ValueError("at least one white node")
-        if not self.white <= set(self.diagram.nodes):
+        if not white <= set(diagram.nodes):
             raise ValueError("white nodes must lie in the diagram")
+        self._set(diagram, white)
 
 
 KINDS = ("group", "simple", "hermitian-exceptional", "hermitian-nonexceptional")

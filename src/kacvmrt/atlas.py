@@ -13,27 +13,25 @@ in a single family).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .affine import MarkedKacDiagram, affine_diagram, affine_node_count, validate_kac_marking
-from .roots import CartanType
+from .roots import CartanType, OrderedRecord, Record
 
 RESTRICTED_FAMILIES = "ABCDEFG" + "?"  # plus the non-reduced BC
 
 
-@dataclass(frozen=True, order=True)
-class RestrictedType:
+class RestrictedType(OrderedRecord):
     """Type of the restricted root system; BC covers the non-reduced cases."""
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self) -> None:
-        if self.family not in ("A", "B", "C", "D", "E", "F", "G", "BC"):
-            raise ValueError(f"bad restricted family {self.family!r}")
-        if self.rank < 1:
+    def __init__(self, family: str, rank: int) -> None:
+        if family not in ("A", "B", "C", "D", "E", "F", "G", "BC"):
+            raise ValueError(f"bad restricted family {family!r}")
+        if rank < 1:
             raise ValueError("restricted rank must be positive")
+        self._set(family, rank)
 
     @property
     def is_type_a(self) -> bool:
@@ -43,20 +41,27 @@ class RestrictedType:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class SymmetricSpaceEntry:
-    label: str
-    params: Tuple[Tuple[str, int], ...]
-    kind: str  # group | simple | hermitian-exceptional | hermitian-nonexceptional
-    g_desc: str
-    h_desc: str
-    kac_base: CartanType
-    kac_twist: int
-    kac_white: Tuple[int, ...]
-    restricted: RestrictedType
-    boundary_degree: int
-    isotropy_proj_dim: Optional[int] = None  # dim P(p), stored for restricted A_1
-    notes: Tuple[str, ...] = ()
+class SymmetricSpaceEntry(Record):
+    __slots__ = ("label", "params", "kind", "g_desc", "h_desc", "kac_base", "kac_twist",
+                 "kac_white", "restricted", "boundary_degree", "isotropy_proj_dim", "notes")
+
+    def __init__(
+        self,
+        label: str,
+        params: Tuple[Tuple[str, int], ...],
+        kind: str,  # group | simple | hermitian-exceptional | hermitian-nonexceptional
+        g_desc: str,
+        h_desc: str,
+        kac_base: CartanType,
+        kac_twist: int,
+        kac_white: Tuple[int, ...],
+        restricted: RestrictedType,
+        boundary_degree: int,
+        isotropy_proj_dim: Optional[int] = None,  # dim P(p), stored for restricted A_1
+        notes: Tuple[str, ...] = (),
+    ) -> None:
+        self._set(label, params, kind, g_desc, h_desc, kac_base, kac_twist, kac_white,
+                  restricted, boundary_degree, isotropy_proj_dim, notes)
 
     @property
     def name(self) -> str:

@@ -8,13 +8,12 @@ catalogue export (export-atlas).  No classification logic lives here.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional
 
 from . import __version__
 from .atlas import MAX_RANK, enumerate_entries, lookup
-from .diagrams import MarkedDynkinDiagram, parabolic_dimension
+from .diagrams import MarkedDynkinDiagram, classify, parabolic_dimension
 from .engine import FOLDING_PAIRS, fold, identify, vmrt, z_dimension, z_orbit_diagram
 from .render import FORMATS, ParseError, parse, render, to_canonical_text
 
@@ -128,10 +127,12 @@ def _dispatch(args) -> int:
     if args.command == "zorbit":
         e = lookup(args.label, _params(args))
         zs = z_orbit_diagram(e.kac_diagram(), e.kind)
+        # Every Z marks one diagram: recognise it once, as vmrt does.
+        classes = None if zs[0].sigma_pairs is not None else classify(zs[0].diagram)
         for z in zs:
             print(render(z, args.format))
-        print(f"dim {z_dimension(zs[0])}")
-        print(" u ".join(identify(z) for z in zs))
+        print(f"dim {z_dimension(zs[0], classes)}")
+        print(" u ".join(identify(z, classes) for z in zs))
         return 0
 
     if args.command == "vmrt":
@@ -176,6 +177,8 @@ def _dispatch(args) -> int:
         return 0 if all(r.status != "FAIL" for r in results) else 1
 
     if args.command == "export-atlas":
+        import json
+
         entries = [_entry_json(e) for e in enumerate_entries(args.max_rank)]
         payload = json.dumps({"max_rank": args.max_rank, "entries": entries}, indent=1)
         with open(args.out, "w") as fh:

@@ -9,32 +9,28 @@ the dimension counts are computed through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .roots import CartanType, positive_roots, simple_edges
+from .roots import CartanType, OrderedRecord, Record, positive_roots, simple_edges
 
 Classes = Sequence[Tuple[CartanType, Dict[int, int]]]  # what classify returns
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
-    a: int
-    b: int
-    mult: int = 1
-    short: Optional[int] = None
+class Edge(OrderedRecord):
+    __slots__ = ("a", "b", "mult", "short")
 
-    def __post_init__(self) -> None:
-        if self.a >= self.b:
+    def __init__(self, a: int, b: int, mult: int = 1, short: Optional[int] = None) -> None:
+        if a >= b:
             raise ValueError("edge endpoints must satisfy a < b")
-        if self.mult not in (1, 2, 3, 4):
-            raise ValueError(f"bad edge multiplicity {self.mult}")
-        if self.mult == 1 and self.short is not None:
+        if mult not in (1, 2, 3, 4):
+            raise ValueError(f"bad edge multiplicity {mult}")
+        if mult == 1 and short is not None:
             raise ValueError("multiplicity-1 edges carry no direction")
-        if self.mult in (2, 3) and self.short not in (self.a, self.b):
+        if mult in (2, 3) and short not in (a, b):
             raise ValueError("multiplicity >= 2 edges carry exactly one direction")
-        if self.mult == 4 and self.short not in (None, self.a, self.b):
+        if mult == 4 and short not in (None, a, b):
             raise ValueError("bad direction on quadruple edge")
+        self._set(a, b, mult, short)
 
     def other(self, v: int) -> int:
         return self.b if v == self.a else self.a
@@ -75,20 +71,18 @@ def _components(nodes: Sequence[int], adj: Dict[int, Dict[int, Edge]]) -> Tuple[
     return tuple(comps)
 
 
-@dataclass(frozen=True)
-class DynkinDiagram:
+class DynkinDiagram(Record):
     """A disjoint union of finite Dynkin diagrams (possibly empty)."""
 
-    nodes: Tuple[int, ...]
-    edges: FrozenSet[Edge] = field(default_factory=frozenset)
+    __slots__ = ("nodes", "edges")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(sorted(set(self.nodes))))
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        ids = set(self.nodes)
-        for e in self.edges:
+    def __init__(self, nodes: Iterable[int], edges: Iterable[Edge] = frozenset()) -> None:
+        ids = set(nodes)
+        edges = frozenset(edges)
+        for e in edges:
             if e.a not in ids or e.b not in ids:
                 raise ValueError(f"edge {e} references a node not in diagram")
+        self._set(tuple(sorted(ids)), edges)
 
     @property
     def rank(self) -> int:
@@ -312,35 +306,45 @@ def graded_dimensions(d: DynkinDiagram, marked: Iterable[int]) -> Dict[int, int]
     return dict(sorted(dims.items()))
 
 
-@dataclass(frozen=True)
-class MarkedDynkinDiagram:
+class MarkedDynkinDiagram(Record):
     """A finite diagram with crossed nodes, degree annotations and an
     optional sigma pairing between two isomorphic halves."""
 
-    diagram: DynkinDiagram
-    crossed: FrozenSet[int] = field(default_factory=frozenset)
-    annotations: Tuple[Tuple[int, int], ...] = ()
-    sigma_pairs: Optional[Tuple[Tuple[int, int], ...]] = None
+    __slots__ = ("diagram", "crossed", "annotations", "sigma_pairs")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "crossed", frozenset(self.crossed))
-        object.__setattr__(self, "annotations", tuple(sorted(dict(self.annotations).items())))
-        nodes = set(self.diagram.nodes)
-        if not self.crossed <= nodes:
+    def __init__(
+        self,
+        diagram: DynkinDiagram,
+        crossed: Iterable[int] = frozenset(),
+        annotations: Iterable[Tuple[int, int]] = (),
+        sigma_pairs: Optional[Iterable[Tuple[int, int]]] = None,
+    ) -> None:
+        crossed = frozenset(crossed)
+        ann = dict(annotations)
+        nodes = set(diagram.nodes)
+        if not crossed <= nodes:
             raise ValueError("crossed nodes must lie in the diagram")
-        ann = dict(self.annotations)
-        if not set(ann) <= self.crossed:
+        if not set(ann) <= crossed:
             raise ValueError("annotations only on crossed nodes")
         if any(v < 2 for v in ann.values()):
             raise ValueError("annotations are degrees >= 2")
-        if self.sigma_pairs is not None:
-            pairs = tuple([(a, b) for a, b in self.sigma_pairs])
-            object.__setattr__(self, "sigma_pairs", pairs)
-            left = [a for a, _ in pairs]
-            right = [b for _, b in pairs]
+        if sigma_pairs is not None:
+            sigma_pairs = tuple([(a, b) for a, b in sigma_pairs])
+            left = [a for a, _ in sigma_pairs]
+            right = [b for _, b in sigma_pairs]
             cover = left + right
             if len(set(cover)) != len(cover) or set(cover) != nodes:
                 raise ValueError("sigma pairing must match the two halves bijectively")
+            # The pairing must be an isomorphism of the left half onto the
+            # right one, bonds and marks included, with no bond between them.
+            to = dict(sigma_pairs)
+            inside = {e for e in diagram.edges if e.a in to and e.b in to}
+            moved = {_edge(to[e.a], to[e.b], e.mult, None if e.short is None else to[e.short])
+                     for e in inside}
+            if moved != diagram.edges - inside or any(
+                    (a in crossed) != (b in crossed) or ann.get(a) != ann.get(b) for a, b in sigma_pairs):
+                raise ValueError("sigma halves are not isomorphic under the pairing")
+        self._set(diagram, crossed, tuple(sorted(ann.items())), sigma_pairs)
 
     @property
     def annotation_map(self) -> Dict[int, int]:

@@ -10,7 +10,6 @@ resulting rational homogeneous spaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .affine import MarkedKacDiagram, validate_kac_marking
@@ -28,7 +27,7 @@ from .diagrams import (
     standard_diagram,
     standard_marked,
 )
-from .roots import CartanType
+from .roots import CartanType, Record
 
 
 def _orbit_half(around: Dict[int, Edge], white: FrozenSet[int],
@@ -165,15 +164,20 @@ def identify(v: MarkedDynkinDiagram, classes: Optional[Classes] = None) -> str:
 # The VMRT pipeline
 
 
-@dataclass(frozen=True)
-class VMRTDescription:
-    kind: str  # legendrian-Z | typeA-GPlambda | full-projective-space
-    components: Tuple[MarkedDynkinDiagram, ...]
-    dimension: int
-    identification: str
-    z: Tuple[MarkedDynkinDiagram, ...]  # the closed orbit Z, as z_orbit_diagram gives it
-    z_dim: int
-    ambient_note: str = ""
+class VMRTDescription(Record):
+    __slots__ = ("kind", "components", "dimension", "identification", "z", "z_dim", "ambient_note")
+
+    def __init__(
+        self,
+        kind: str,  # legendrian-Z | typeA-GPlambda | full-projective-space
+        components: Tuple[MarkedDynkinDiagram, ...],
+        dimension: int,
+        identification: str,
+        z: Tuple[MarkedDynkinDiagram, ...],  # the closed orbit Z, as z_orbit_diagram gives it
+        z_dim: int,
+        ambient_note: str = "",
+    ) -> None:
+        self._set(kind, components, dimension, identification, z, z_dim, ambient_note)
 
 
 def _type_a_table(e: SymmetricSpaceEntry) -> Tuple[MarkedDynkinDiagram, str]:

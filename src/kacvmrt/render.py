@@ -15,28 +15,17 @@ golden tests and equality checks:
 
 Texts are canonical: isomorphic marked diagrams always render to the same
 string (the renderer minimises over the diagram's automorphisms), and
-parse is a strict inverse up to isomorphism.  ASCII, LaTeX picture, DOT
+parse is a strict inverse up to isomorphism; its reader lives in
+parsing.py, loaded on the first parse.  ASCII, LaTeX picture, DOT
 and JSON emitters are presentation-only and never parsed back.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .affine import AffineDiagram, MarkedKacDiagram
-from .atlas import MAX_RANK
-from .diagrams import (
-    DynkinDiagram,
-    Edge,
-    MarkedDynkinDiagram,
-    UnrecognizedDiagram,
-    _mark_key,
-    classify,
-    diagram_automorphisms,
-    find_marked_isomorphism,
-    marked,
-)
+from .diagrams import DynkinDiagram, Edge, MarkedDynkinDiagram, classify, diagram_automorphisms
 from .roots import CartanType
 
 Diagram = Union[MarkedDynkinDiagram, MarkedKacDiagram, AffineDiagram, DynkinDiagram]
@@ -252,196 +241,18 @@ def to_canonical_text(d: Diagram) -> str:
         for t, mapping in classify(md.diagram)
     )
     if md.sigma_pairs is not None and parts:
-        # The halves are isomorphic, so every other part spells one half:
-        # written twice, parse splits the text in the middle.
-        if parts[::2] != parts[1::2]:
-            raise ValueError("sigma halves are not isomorphic")
+        # The pairing makes the halves isomorphic, so every other part
+        # spells one half: written twice, parse splits the text in the middle.
         return " + ".join(parts[::2] * 2) + " ~sigma"
     return " + ".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# Parsing
-
-_EDGE_ALTS = ["####>", "<####", "####", "#>", "<#", "=>", "<=", "#", "=", "-"]
-_EDGE_DECODE = {
-    "-": (1, 0), "=": (2, 0), "#": (3, 0), "####": (4, 0),
-    "=>": (2, 1), "<=": (2, -1), "#>": (3, 1), "<#": (3, -1),
-    "####>": (4, 1), "<####": (4, -1),
-}
-
-
-class _Builder:
-    def __init__(self) -> None:
-        self.next_id = 0
-        self.nodes: List[int] = []
-        self.edges: List[Edge] = []
-        self.white: List[int] = []
-        self.crossed: List[int] = []
-        self.ann: Dict[int, int] = {}
-
-    def add_node(self, token: str, ann: Optional[int]) -> int:
-        v = self.next_id
-        self.next_id += 1
-        self.nodes.append(v)
-        if token == "O":
-            self.white.append(v)
-        elif token == "x":
-            self.crossed.append(v)
-            if ann is not None:
-                self.ann[v] = ann
-        return v
-
-    def add_edge(self, u: int, v: int, mult: int, rel: int, pos: int) -> None:
-        """Add the bond written at offset pos; double and triple bonds
-        need their arrowhead."""
-        if mult in (2, 3) and rel == 0:
-            raise ParseError("a double or triple bond needs an arrowhead", pos)
-        short = None
-        if rel == 1:
-            short = v
-        elif rel == -1:
-            short = u
-        if mult == 1:
-            short = None
-        a, b = min(u, v), max(u, v)
-        self.edges.append(Edge(a, b, mult, short))
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.b = _Builder()
-        self.sigma = False
-        self.cycle_components: List[bool] = []
-
-    def error(self, msg: str) -> ParseError:
-        return ParseError(msg, self.pos)
-
-    def peek(self) -> str:
-        return self.text[self.pos:self.pos + 1]
-
-    def eat_node(self) -> int:
-        ch = self.peek()
-        if ch not in ("o", "O", "x"):
-            raise self.error("expected a node token o, O or x")
-        self.pos += 1
-        ann = None
-        if ch == "x" and self.peek() == "[":
-            self.pos += 1
-            start = self.pos
-            while self.peek().isdigit():
-                self.pos += 1
-            if self.pos == start:
-                raise self.error("expected digits in annotation")
-            if self.peek() != "]":
-                raise self.error("expected ]")
-            ann = int(self.text[start:self.pos])
-            self.pos += 1
-            if ann < 2:
-                raise ParseError("annotation must be >= 2", start)
-        return self.b.add_node(ch, ann)
-
-    def try_edge(self) -> Optional[Tuple[int, int]]:
-        for alt in _EDGE_ALTS:
-            if self.text.startswith(alt, self.pos):
-                self.pos += len(alt)
-                return _EDGE_DECODE[alt]
-        return None
-
-    def parse_chain(self) -> Tuple[int, int, int]:
-        """Parse node (branches)* (edge ...)*; returns the first and last
-        ids and the number of nodes on the chain, branches not counted."""
-        first = self.eat_node()
-        last, length = first, 1
-        while True:
-            while self.peek() == "(":
-                self.pos += 1
-                sub_first, _, _ = self.parse_chain()
-                if self.peek() != ")":
-                    raise self.error("expected )")
-                self.pos += 1
-                self.b.add_edge(last, sub_first, 1, 0, self.pos)
-            bond = self.pos
-            edge = self.try_edge()
-            if edge is None:
-                return first, last, length
-            mult, rel = edge
-            nxt = self.eat_node()
-            self.b.add_edge(last, nxt, mult, rel, bond)
-            last, length = nxt, length + 1
-
-    def parse(self) -> None:
-        if not self.text:
-            return
-        while True:
-            at = self.pos
-            is_cycle = self.peek() == "@"
-            if is_cycle:
-                self.pos += 1
-            first, last, length = self.parse_chain()
-            if is_cycle:
-                # Two nodes would close the cycle on their own bond again;
-                # affine A_1 is written o####o.
-                if length < 3:
-                    raise ParseError("a cycle needs at least three nodes", at)
-                self.b.add_edge(last, first, 1, 0, self.pos)
-            if self.text.startswith(" + ", self.pos):
-                self.pos += 3
-                continue
-            break
-        if self.text.startswith(" ~sigma", self.pos):
-            self.pos += 7
-            self.sigma = True
-        if self.pos != len(self.text):
-            raise self.error("unexpected trailing input")
 
 
 def parse(s: str) -> Diagram:
     """Inverse of to_canonical_text (up to isomorphism); rejects malformed
     input with position-annotated errors."""
-    p = _Parser(s)
-    p.parse()
-    b = p.b
-    d = DynkinDiagram(tuple(b.nodes), frozenset(b.edges))
-    if not b.white:
-        try:
-            classes = classify(d)
-        except UnrecognizedDiagram:
-            pass  # fall through to affine recognition
-        else:
-            if not p.sigma:
-                return marked(d, b.crossed, b.ann)
-            if len(classes) % 2 != 0:
-                raise ParseError("sigma needs an even number of components", len(s))
-            # Halve each class of marked-isomorphic components, in text order.
-            md = marked(d, b.crossed, b.ann)
-            mark = lambda v: (v in md.crossed, b.ann.get(v, 0))  # noqa: E731
-            groups: Dict[object, list] = {}
-            for c in classes:
-                groups.setdefault(_mark_key(*c, mark), []).append(c)
-            if any(len(g) % 2 for g in groups.values()):
-                raise ParseError("sigma halves are not isomorphic", len(s))
-            left = [c for g in groups.values() for c in g[:len(g) // 2]]
-            right = [c for g in groups.values() for c in g[len(g) // 2:]]
-            iso = find_marked_isomorphism(md, md, left, right)
-            return marked(d, b.crossed, b.ann, sorted(iso.items()))
-    if b.crossed:
-        raise ParseError("crossed nodes only occur in finite diagrams", len(s))
-    if len(b.nodes) > MAX_RANK + 1:
-        raise ParseError(f"an affine diagram has at most MAX_RANK + 1 = {MAX_RANK + 1} nodes", len(s))
-    if len(d.components()) != 1:
-        raise ParseError("an affine diagram is connected", len(s))
-    from .recognition import recognize_affine
+    from .parsing import read
 
-    hit = recognize_affine(d)
-    if hit is None:
-        raise ParseError("not a recognised finite or affine diagram", len(s))
-    a, iso = hit
-    if not b.white:
-        return a
-    return MarkedKacDiagram(a, frozenset([iso[w] for w in b.white]))
+    return read(s)
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +398,8 @@ def to_dot(d: Diagram) -> str:
 
 def to_json(d: Diagram) -> str:
     """Stable JSON per the documented schema; byte-deterministic."""
+    import json
+
     if isinstance(d, (AffineDiagram, MarkedKacDiagram)):
         a = d.diagram if isinstance(d, MarkedKacDiagram) else d
         white = d.white if isinstance(d, MarkedKacDiagram) else frozenset()

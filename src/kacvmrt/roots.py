@@ -17,8 +17,8 @@ Conventions, frozen once for the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter, ge, gt, le, lt
 from typing import Dict, Optional, Tuple
 
 FAMILIES = "ABCDEFG"
@@ -27,25 +27,89 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 _EXACT_RANK = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
 
 
-@dataclass(frozen=True, order=True)
-class CartanType:
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in __slots__, in order, and sets them once,
+    in its __init__, through _set.  As for a frozen dataclass, == holds
+    only between instances of one class, the hash is that of the field
+    tuple (which fixes the iteration order of every set of records), and
+    fields cannot be assigned or deleted.  OrderedRecord adds ordering by
+    the field tuple.  copy, deepcopy and pickle rebuild an instance through
+    its __init__, so its checks run again.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        names = cls.__slots__
+        if names:
+            get = attrgetter(*names)
+            # _values(record) -> the field tuple; attrgetter binds no self.
+            cls._values = get if len(names) > 1 else staticmethod(lambda r: (get(r),))
+            # _set writes through the slot descriptors: __setattr__ refuses all.
+            cls._setters = tuple([getattr(cls, name).__set__ for name in names])
+
+    def _set(self, *values: object) -> None:
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        inner = ", ".join([f"{n}={v!r}" for n, v in zip(self.__slots__, self._values(self))])
+        return f"{self.__class__.__qualname__}({inner})"
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+
+def _compare(op):
+    def method(self, other: object):
+        if other.__class__ is self.__class__:
+            return op(self._values(self), other._values(other))
+        return NotImplemented
+
+    return method
+
+
+class OrderedRecord(Record):
+    """A Record ordered by its field tuple, within one class."""
+
+    __slots__ = ()
+    __lt__, __le__, __gt__, __ge__ = [_compare(op) for op in (lt, le, gt, ge)]
+
+
+class CartanType(OrderedRecord):
     """A simple finite type, e.g. CartanType("B", 3)."""
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        exact = _EXACT_RANK.get(self.family)
+    def __init__(self, family: str, rank: int) -> None:
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        exact = _EXACT_RANK.get(family)
         if exact is not None:
-            if self.rank not in exact:
-                raise ValueError(f"{self.family}_{self.rank} is not a finite type")
-        elif self.rank < _MIN_RANK[self.family]:
+            if rank not in exact:
+                raise ValueError(f"{family}_{rank} is not a finite type")
+        elif rank < _MIN_RANK[family]:
             raise ValueError(
-                f"{self.family}_{self.rank} rejected (rank >= "
-                f"{_MIN_RANK[self.family]} keeps canonical forms unique)"
+                f"{family}_{rank} rejected (rank >= "
+                f"{_MIN_RANK[family]} keeps canonical forms unique)"
             )
+        self._set(family, rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -129,16 +193,16 @@ def cartan_matrix(t: CartanType) -> Tuple[Tuple[int, ...], ...]:
     return tuple([tuple(row) for row in a])
 
 
-@dataclass(frozen=True, order=True)
-class Root:
+class Root(OrderedRecord):
     """A root as its integer coefficient vector over the simple roots."""
 
-    coeffs: Tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        signs = {c > 0 for c in self.coeffs if c != 0}
+    def __init__(self, coeffs: Tuple[int, ...]) -> None:
+        signs = {c > 0 for c in coeffs if c != 0}
         if len(signs) != 1:
-            raise ValueError(f"mixed-sign coefficient vector {self.coeffs}")
+            raise ValueError(f"mixed-sign coefficient vector {coeffs}")
+        self._set(coeffs)
 
     @property
     def height(self) -> int:

@@ -13,7 +13,6 @@ EIV cell, the quadric-index naming of BI/DI) report WARN, never FAIL.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .affine import affine_diagram, kac_labels, validate_kac_marking
@@ -21,19 +20,18 @@ from .atlas import SymmetricSpaceEntry, enumerate_entries, lookup
 from .diagrams import MarkedDynkinDiagram, find_marked_isomorphism, parabolic_dimension
 from .engine import VMRTDescription, contact_grading_check, fold, fold_consistency, vmrt
 from .render import parse, to_canonical_text
-from .roots import CartanType, positive_roots
+from .roots import CartanType, Record, positive_roots
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    section: str
-    name: str
-    status: str  # PASS | FAIL | WARN
-    detail: str = ""
+class CheckResult(Record):
+    __slots__ = ("section", "name", "status", "detail")
+
+    def __init__(self, section: str, name: str, status: str, detail: str = "") -> None:
+        # status: PASS | FAIL | WARN
+        self._set(section, name, status, detail)
 
 
-@dataclass(frozen=True)
-class GoldenRow:
+class GoldenRow(Record):
     """One classification-table row instantiated at concrete parameters.
 
     texts/ident/dim transcribed by hand from the classical tables; `alias`
@@ -41,13 +39,12 @@ class GoldenRow:
     reports WARN instead of comparing names).
     """
 
-    label: str
-    params: Dict[str, int]
-    texts: Tuple[str, ...]
-    ident: str
-    dim: int
-    table: str
-    alias: Optional[str] = None  # catalogued name when flagged
+    __slots__ = ("label", "params", "texts", "ident", "dim", "table", "alias")
+
+    def __init__(self, label: str, params: Dict[str, int], texts: Tuple[str, ...], ident: str,
+                 dim: int, table: str, alias: Optional[str] = None) -> None:
+        # alias: the catalogued name, when flagged
+        self._set(label, params, texts, ident, dim, table, alias)
 
 
 # The golden catalogue.  Canonical texts derived by hand from the drawn

@@ -63,6 +63,32 @@ def test_kac_and_zorbit(capsys):
     assert "x[2]-o=>o" in out and "dim 5" in out and "v_2(Q_5)" in out
 
 
+def test_zorbit_recognises_each_z_diagram_once(capsys, monkeypatch):
+    # dim Z and the name share one classification of the Z diagram, as in
+    # vmrt; a sigma-paired Z works on its halves instead.
+    from kacvmrt import diagrams, engine
+    from kacvmrt.atlas import enumerate_entries
+
+    recognised, made = [], []
+    real_classify, real_z = diagrams.classify, cli.z_orbit_diagram
+
+    def classify(d):
+        recognised.append(d)
+        return real_classify(d)
+
+    for module in (diagrams, engine, cli):
+        monkeypatch.setattr(module, "classify", classify)
+    monkeypatch.setattr(cli, "z_orbit_diagram", lambda *a: made.append(real_z(*a)) or made[-1])
+    for e in enumerate_entries(8):
+        recognised.clear()
+        params = [a for k, v in e.params for a in (f"--{k}", str(v))]
+        assert main(["zorbit", e.label, *params, "--format", "dot"]) == 0, e.name
+        for z in made.pop():
+            if z.sigma_pairs is None:
+                assert sum(d is z.diagram for d in recognised) == 1, e.name
+    capsys.readouterr()
+
+
 def test_list_deterministic(capsys):
     code, out1, _ = run(capsys, "list", "--max-rank", "5")
     assert code == 0
@@ -165,10 +191,12 @@ def test_cli_import_leaves_verify_unloaded():
 
 
 def test_vmrt_leaves_recognition_unloaded():
-    # Affine recognition serves parsing and affine canonical text only; a
-    # `vmrt` query compiles none of it.
+    # Affine recognition serves parsing and affine canonical text only, and
+    # the reader serves parse: a `vmrt` query compiles none of it, nor
+    # `dataclasses` or `json`.
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     code = ("import kacvmrt.cli, sys; kacvmrt.cli.main(['vmrt', 'herm-CI', '--n', '4', '--format', "
-            "'canonical']); assert 'kacvmrt.recognition' not in sys.modules")
+            "'canonical']); loaded = {'kacvmrt.recognition', 'kacvmrt.parsing', 'dataclasses', "
+            "'json'} & set(sys.modules); assert not loaded, loaded")
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env, capture_output=True).returncode == 0

@@ -202,18 +202,38 @@ class TestMarkedDiagram:
         d1 = standard_diagram(CartanType("A", 2))
         d2 = standard_diagram(CartanType("A", 2), [11, 12])
         both = DynkinDiagram(d1.nodes + d2.nodes, d1.edges | d2.edges)
-        m = marked(both, {1, 12}, sigma_pairs=((1, 11), (2, 12)))
+        m = marked(both, {1, 11}, sigma_pairs=((1, 11), (2, 12)))
         assert m.sigma_left_nodes() == {1, 2}
         with pytest.raises(ValueError):
             marked(both, set(), sigma_pairs=((1, 11),))  # not a cover
+        # The pairing must carry the left half's marks and bonds onto the
+        # right half's, not merely match the nodes.
+        for crossed, ann, pairs in [
+            ({1, 12}, {}, ((1, 11), (2, 12))),  # crossing sent to a plain node
+            ({1, 11}, {11: 2}, ((1, 11), (2, 12))),  # annotation on one side only
+        ]:
+            with pytest.raises(ValueError, match="not isomorphic under the pairing"):
+                marked(both, crossed, ann, pairs)
+        b2 = standard_diagram(CartanType("B", 2), [11, 12])
+        with pytest.raises(ValueError, match="not isomorphic under the pairing"):
+            marked(DynkinDiagram(d1.nodes + b2.nodes, d1.edges | b2.edges),
+                   sigma_pairs=((1, 11), (2, 12)))  # a bond sent to a double bond
+        with pytest.raises(ValueError, match="not isomorphic under the pairing"):
+            marked(DynkinDiagram((1, 2, 3, 4), {Edge(1, 3), Edge(2, 4)}),
+                   sigma_pairs=((1, 3), (2, 4)))  # bonds between the halves
+        # Two copies of o-o + o with only the first copy crossed.
+        three = DynkinDiagram((10, 11, 12, 20, 21, 22), {Edge(10, 11), Edge(20, 21)})
+        with pytest.raises(ValueError, match="not isomorphic under the pairing"):
+            marked(three, {11, 12}, {}, [(10, 20), (11, 21), (12, 22)])
+        assert marked(three, {11, 12, 21, 22}, {}, [(10, 20), (11, 21), (12, 22)]).sigma_pairs
 
     def test_sigma_halves(self):
         d1 = standard_diagram(CartanType("B", 2))
         d2 = standard_diagram(CartanType("B", 2), [11, 12])
         both = DynkinDiagram(d1.nodes + d2.nodes, d1.edges | d2.edges)
-        m = marked(both, {1, 11}, {11: 2}, sigma_pairs=((1, 11), (2, 12)))
+        m = marked(both, {1, 11}, {1: 2, 11: 2}, sigma_pairs=((1, 11), (2, 12)))
         left, right = m.sigma_halves()
-        assert left == marked(d1, {1})
+        assert left == marked(d1, {1}, {1: 2})
         assert right == marked(d2, {11}, {11: 2})
         with pytest.raises(ValueError):
             marked(both).sigma_halves()  # no pairing

@@ -5,8 +5,16 @@ explicit e_i-basis root lists converted to simple-root coordinates by
 hand, not by the package's root-string closure.
 """
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
+from kacvmrt.affine import affine_diagram
+from kacvmrt.atlas import RestrictedType, lookup
+from kacvmrt.diagrams import DynkinDiagram, Edge, MarkedDynkinDiagram
+from kacvmrt.engine import vmrt
 from kacvmrt.roots import (
     CartanType,
     Root,
@@ -204,3 +212,66 @@ def test_minus_w0_is_involution_and_automorphism():
             x, y = perm[a], perm[b]
             mapped.add((min(x, y), max(x, y), m, None if s is None else perm[s]))
         assert mapped == edges
+
+
+def _records():
+    """One instance of each value type, and whether the type is ordered."""
+    from kacvmrt.verify import GOLDEN, CheckResult
+
+    e = lookup("herm-CI", {"n": 3})
+    v = vmrt(e)  # its component is sigma-paired
+    d = DynkinDiagram((1, 2, 3), {Edge(1, 2), Edge(2, 3, 2, 3)})
+    return [
+        (CartanType("A", 3), True),
+        (RestrictedType("A", 3), True),  # CartanType's fields and values
+        (Root((1, 1, 0)), True),
+        (Edge(1, 2, 2, 1), True),
+        (d, False),
+        (MarkedDynkinDiagram(d, {1, 3}, ((3, 2),)), False),
+        (affine_diagram(CartanType("G", 2)), False),
+        (e.kac_diagram(), False),
+        (e, False),
+        (v, False),
+        (v.components[0], False),
+        (CheckResult("golden", "a row", "WARN", "why"), False),
+        (GOLDEN[0], False),  # its params are a dict, so it has no hash
+    ]
+
+
+_RECORDS = _records()
+
+
+@pytest.mark.parametrize("r, ordered", _RECORDS, ids=[type(r).__name__ for r, _ in _RECORDS])
+def test_records_behave_as_frozen_dataclasses(r, ordered):
+    cls = type(r)
+    values = tuple([getattr(r, name) for name in cls.__slots__])
+    twin = dataclasses.make_dataclass(cls.__name__, cls.__slots__, frozen=True, order=ordered)
+    assert repr(r) == repr(twin(*values))
+    assert repr(Edge(1, 2, 2, 1)) == "Edge(a=1, b=2, mult=2, short=1)"
+    try:
+        expected = hash(values)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(r)
+    else:
+        assert hash(r) == expected
+    # == holds only within one class.
+    assert r == cls(*values) and not r != cls(*values)
+    assert r.__eq__(values) is NotImplemented and r != values
+    assert all(r != other for other, _ in _RECORDS if type(other) is not cls)
+    assert CartanType("A", 3) != RestrictedType("A", 3)
+    if ordered:
+        assert r <= cls(*values) and r >= cls(*values) and not r < cls(*values)
+    else:
+        with pytest.raises(TypeError):
+            r < r  # noqa: B015
+    with pytest.raises(TypeError):
+        CartanType("A", 3) < RestrictedType("A", 3)  # noqa: B015
+    for name, value in zip(cls.__slots__, values):
+        with pytest.raises(AttributeError):
+            setattr(r, name, value)
+        with pytest.raises(AttributeError):
+            delattr(r, name)
+    assert getattr(r, cls.__slots__[0]) is values[0]
+    for again in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+        assert type(again) is cls and again == r

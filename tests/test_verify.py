@@ -2,13 +2,12 @@
 fixed order, its text is byte-stable, and its per-entry checks share one
 walk of the atlas that computes each entry's VMRT (and Z) once."""
 
-import dataclasses
 import os
 
 import pytest
 
 from kacvmrt import engine, verify
-from kacvmrt.atlas import lookup
+from kacvmrt.atlas import SymmetricSpaceEntry, lookup
 from kacvmrt.verify import (
     check_component_structure,
     check_contact_grading,
@@ -89,7 +88,9 @@ def test_kac_markings_reports_a_broken_marking(monkeypatch):
     e = lookup("group-B", {"n": 3})
     d = e.kac_diagram().diagram
     label_two = next(v for v in d.nodes if d.label(v) == 2)
-    broken = dataclasses.replace(e, kac_white=(label_two,))
+    broken = SymmetricSpaceEntry(e.label, e.params, e.kind, e.g_desc, e.h_desc, e.kac_base,
+                                 e.kac_twist, (label_two,), e.restricted, e.boundary_degree,
+                                 e.isotropy_proj_dim, e.notes)
     monkeypatch.setattr(verify, "enumerate_entries", lambda max_rank: [e, broken])
     (row,) = check_kac_markings(12)
     assert (row.status, row.detail) == ("FAIL", broken.name)
