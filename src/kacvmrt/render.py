@@ -242,7 +242,7 @@ def to_canonical_text(d: Diagram) -> str:
     )
     if md.sigma_pairs is not None and parts:
         # The pairing makes the halves isomorphic, so every other part
-        # spells one half: written twice, parse splits the text in the middle.
+        # spells one half; the text writes that half twice.
         return " + ".join(parts[::2] * 2) + " ~sigma"
     return " + ".join(parts)
 
