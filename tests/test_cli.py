@@ -40,19 +40,23 @@ def test_dim_parses_canonical_text(capsys):
 
 
 def test_dim_rejects_bad_input(capsys):
-    code, _, err = run(capsys, "dim", "x[")
-    assert code == 2 and "syntax error" in err
-    code, _, err = run(capsys, "dim", "@O-o-o")
-    assert code == 2 and "finite" in err
-    code, _, err = run(capsys, "dim", "@" + "-".join(["o"] * 1000))
-    assert code == 2 and "MAX_RANK" in err
+    code, out, err = run(capsys, "dim", "x[")
+    assert (code, out, err) == (2, "", "error: syntax error at offset 2: expected digits in annotation\n")
+    code, out, err = run(capsys, "dim", "@O-o-o")
+    assert (code, out, err) == (2, "", "error: dim expects a finite marked diagram\n")
+    code, out, err = run(capsys, "dim", "@" + "-".join(["o"] * 1000))
+    assert (code, out) == (2, "")
+    assert err == ("error: syntax error at offset 2000: an affine diagram has at most"
+                   " MAX_RANK + 1 = 101 nodes\n")
 
 
 def test_fold_command(capsys):
-    code, out, _ = run(capsys, "fold", "ef", "o-o-o(o)-o-x", "--format", "canonical")
-    assert code == 0 and out.strip() == "o-o=>o-x"
-    code, _, err = run(capsys, "fold", "ab", "o-o-o", )
-    assert code == 2 and "A_2l" in err
+    code, out, err = run(capsys, "fold", "ef", "o-o-o(o)-o-x", "--format", "canonical")
+    assert (code, out, err) == (0, "o-o=>o-x\n", "")
+    code, out, err = run(capsys, "fold", "ab", "o-o-o")
+    assert (code, out, err) == (2, "", "error: pair ab needs type A_2l, got A3\n")
+    code, out, err = run(capsys, "fold", "ab", "@O-o-o")
+    assert (code, out, err) == (2, "", "error: fold expects a finite marked diagram\n")
 
 
 def test_kac_and_zorbit(capsys):
