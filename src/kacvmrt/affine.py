@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Tuple
 
-from .diagrams import DynkinDiagram, Edge, adjacency_map, classify, standard_diagram
-from .roots import CartanType, Record, cartan_matrix, highest_root, simple_norms
+from .diagrams import DynkinDiagram, Edge, classify, standard_diagram
+from .roots import CartanType, Record, _cartan_from_bonds, cartan_matrix, highest_root, simple_norms
 
 
 class AffineDiagram(Record):
@@ -38,17 +38,10 @@ class AffineDiagram(Record):
     def num_nodes(self) -> int:
         return len(self.nodes)
 
-    def neighbors(self, v: int) -> Tuple[int, ...]:
-        return tuple(sorted(e.other(v) for e in self.edges if v in (e.a, e.b)))
-
-    def edge_between(self, u: int, v: int) -> Optional[Edge]:
-        for e in self.edges:
-            if {e.a, e.b} == {u, v}:
-                return e
-        return None
-
-    def adjacency(self) -> Dict[int, Dict[int, Edge]]:
-        return adjacency_map(self.nodes, self.edges)
+    # Nodes and edges as in a DynkinDiagram, so its graph methods serve.
+    neighbors = DynkinDiagram.neighbors
+    edge_between = DynkinDiagram.edge_between
+    adjacency = DynkinDiagram.adjacency
 
     def label(self, v: int) -> int:
         return self.labels[v]
@@ -58,18 +51,7 @@ class AffineDiagram(Record):
 
     def cartan_matrix(self) -> Tuple[Tuple[int, ...], ...]:
         """Affine Cartan matrix a[i][j] = <alpha_i, alpha_j^vee> by node id."""
-        n = self.num_nodes
-        a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-        for e in self.edges:
-            if e.mult == 1:
-                a[e.a][e.b] = a[e.b][e.a] = -1
-            elif e.short is None:  # the (-2,-2) bond of A_1^(1)
-                a[e.a][e.b] = a[e.b][e.a] = -2
-            else:
-                lng = e.other(e.short)
-                a[lng][e.short] = -e.mult
-                a[e.short][lng] = -1
-        return tuple([tuple(row) for row in a])
+        return _cartan_from_bonds(self.num_nodes, [(e.a, e.b, e.mult, e.short) for e in self.edges])
 
 
 def _check_null_labels(a: AffineDiagram) -> None:

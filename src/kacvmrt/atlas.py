@@ -18,9 +18,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from .affine import MarkedKacDiagram, affine_diagram, affine_node_count, validate_kac_marking
 from .roots import CartanType, OrderedRecord, Record
 
-RESTRICTED_FAMILIES = "ABCDEFG" + "?"  # plus the non-reduced BC
-
-
 class RestrictedType(OrderedRecord):
     """Type of the restricted root system; BC covers the non-reduced cases."""
 

@@ -15,7 +15,7 @@ from . import __version__
 from .atlas import MAX_RANK, enumerate_entries, lookup
 from .diagrams import MarkedDynkinDiagram, classify, parabolic_dimension
 from .engine import FOLDING_PAIRS, fold, identify, vmrt, z_dimension, z_orbit_diagram
-from .render import FORMATS, ParseError, parse, render, to_canonical_text
+from .render import FORMATS, parse, render, to_canonical_text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,6 +70,14 @@ def _params(args) -> dict:
     if args.m is not None:
         out["m"] = args.m
     return out
+
+
+def _finite_marked(args) -> MarkedDynkinDiagram:
+    """The diagram that dim and fold read, which must be finite and marked."""
+    d = parse(args.diagram)
+    if not isinstance(d, MarkedDynkinDiagram):
+        raise ValueError(f"{args.command} expects a finite marked diagram")
+    return d
 
 
 def _entry_json(e) -> dict:
@@ -146,27 +154,12 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "dim":
-        try:
-            d = parse(args.diagram)
-        except ParseError as ex:
-            print(f"error: {ex}", file=sys.stderr)
-            return 2
-        if not isinstance(d, MarkedDynkinDiagram):
-            print("error: dim expects a finite marked diagram", file=sys.stderr)
-            return 2
+        d = _finite_marked(args)
         print(parabolic_dimension(d.diagram, d.crossed))
         return 0
 
     if args.command == "fold":
-        try:
-            d = parse(args.diagram)
-        except ParseError as ex:
-            print(f"error: {ex}", file=sys.stderr)
-            return 2
-        if not isinstance(d, MarkedDynkinDiagram):
-            print("error: fold expects a finite marked diagram", file=sys.stderr)
-            return 2
-        print(render(fold(d, args.pair), args.format))
+        print(render(fold(_finite_marked(args), args.pair), args.format))
         return 0
 
     if args.command == "verify":

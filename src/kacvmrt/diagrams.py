@@ -40,19 +40,6 @@ def _edge(a: int, b: int, mult: int = 1, short: Optional[int] = None) -> Edge:
     return Edge(min(a, b), max(a, b), mult, short)
 
 
-def adjacency_map(nodes: Iterable[int], edges: Iterable[Edge]) -> Dict[int, Dict[int, Edge]]:
-    """v -> {neighbour: joining edge}, in one pass over the edges.
-
-    Built per call and never stored: diagrams are many and short-lived,
-    and a per-instance copy would outweigh the diagram itself.  Parallel
-    edges collapse to one entry, so edge counts must come from the edges.
-    """
-    adj: Dict[int, Dict[int, Edge]] = {v: {} for v in nodes}
-    for e in edges:
-        adj[e.a][e.b] = adj[e.b][e.a] = e
-    return adj
-
-
 def _components(nodes: Sequence[int], adj: Dict[int, Dict[int, Edge]]) -> Tuple[Tuple[int, ...], ...]:
     seen: set = set()
     comps: List[Tuple[int, ...]] = []
@@ -98,7 +85,16 @@ class DynkinDiagram(Record):
         return None
 
     def adjacency(self) -> Dict[int, Dict[int, Edge]]:
-        return adjacency_map(self.nodes, self.edges)
+        """v -> {neighbour: joining edge}, in one pass over the edges.
+
+        Built per call and never stored: diagrams are many and short-lived,
+        and a per-instance copy would outweigh the diagram itself.  Parallel
+        edges collapse to one entry, so edge counts must come from the edges.
+        """
+        adj: Dict[int, Dict[int, Edge]] = {v: {} for v in self.nodes}
+        for e in self.edges:
+            adj[e.a][e.b] = adj[e.b][e.a] = e
+        return adj
 
     def components(self) -> Tuple[Tuple[int, ...], ...]:
         """Connected components as sorted node tuples, ordered by least node."""
@@ -268,6 +264,15 @@ def diagram_automorphisms(t: CartanType) -> Tuple[Dict[int, int], ...]:
     return (ident,)
 
 
+def _nodes_in(d: DynkinDiagram, nodes: Iterable[int]) -> set:
+    """The given nodes as a set; each must lie in d."""
+    out = set(nodes)
+    unknown = out - set(d.nodes)
+    if unknown:
+        raise ValueError(f"node {sorted(unknown)[0]} not in diagram")
+    return out
+
+
 def _num_positive_roots(d: DynkinDiagram, classes: Optional[Classes] = None) -> int:
     return sum(t.num_positive_roots for t, _ in (classify(d) if classes is None else classes))
 
@@ -279,11 +284,7 @@ def parabolic_dimension(d: DynkinDiagram, marked: Iterable[int], classes: Option
     |Phi+(G)| - |Phi+(L)| with the Levi L the diagram minus the marked
     nodes (Bourbaki's root counts per simple factor); classes, if given, is classify(d).
     """
-    marked_set = set(marked)
-    unknown = marked_set - set(d.nodes)
-    if unknown:
-        raise ValueError(f"node {sorted(unknown)[0]} not in diagram")
-    return _num_positive_roots(d, classes) - _num_positive_roots(d.delete(marked_set))
+    return _num_positive_roots(d, classes) - _num_positive_roots(d.delete(_nodes_in(d, marked)))
 
 
 def graded_dimensions(d: DynkinDiagram, marked: Iterable[int]) -> Dict[int, int]:
@@ -292,13 +293,10 @@ def graded_dimensions(d: DynkinDiagram, marked: Iterable[int]) -> Dict[int, int]
     Grade of a root is the sum of its coefficients at marked nodes; grade 0
     additionally carries the full Cartan dimension (the rank of d).
     """
-    marked_set = set(marked)
-    unknown = marked_set - set(d.nodes)
-    if unknown:
-        raise ValueError(f"node {sorted(unknown)[0]} not in diagram")
+    marked_set = _nodes_in(d, marked)
     dims: Dict[int, int] = {0: d.rank}
-    for (t, mapping), comp in zip(classify(d), d.components()):
-        idx = {mapping[v] for v in marked_set if v in set(comp)}
+    for t, mapping in classify(d):
+        idx = {mapping[v] for v in marked_set if v in mapping}
         for r in positive_roots(t):
             k = sum(r.coefficient(i) for i in idx)
             dims[k] = dims.get(k, 0) + 1
@@ -316,7 +314,7 @@ class MarkedDynkinDiagram(Record):
         self,
         diagram: DynkinDiagram,
         crossed: Iterable[int] = frozenset(),
-        annotations: Iterable[Tuple[int, int]] = (),
+        annotations: Mapping[int, int] | Iterable[Tuple[int, int]] = (),
         sigma_pairs: Optional[Iterable[Tuple[int, int]]] = None,
     ) -> None:
         crossed = frozenset(crossed)
@@ -373,6 +371,9 @@ class MarkedDynkinDiagram(Record):
         of each pair), then right."""
         left = self.sigma_left_nodes()
         return self.restrict(left), self.restrict(frozenset(self.diagram.nodes) - left)
+
+
+marked = MarkedDynkinDiagram  # the constructor under its functional name
 
 
 def _edge_signature(e: Edge, seen_from: int) -> Tuple[int, int]:
@@ -500,17 +501,6 @@ def find_marked_isomorphism(
         iso.update(zip(order, best[0]))
         del targets[best[1]]
     return iso
-
-
-def marked(
-    diagram: DynkinDiagram,
-    crossed: Iterable[int] = (),
-    annotations: Mapping[int, int] | Iterable[Tuple[int, int]] = (),
-    sigma_pairs: Optional[Iterable[Tuple[int, int]]] = None,
-) -> MarkedDynkinDiagram:
-    ann = annotations.items() if isinstance(annotations, Mapping) else annotations
-    pairs = None if sigma_pairs is None else tuple(sigma_pairs)
-    return MarkedDynkinDiagram(diagram, frozenset(crossed), tuple(ann), pairs)
 
 
 def standard_marked(

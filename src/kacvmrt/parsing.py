@@ -14,24 +14,28 @@ from .diagrams import (
     DynkinDiagram,
     Edge,
     UnrecognizedDiagram,
+    _edge,
     _mark_key,
     classify,
     find_marked_isomorphism,
     marked,
 )
-from .render import Diagram, ParseError
+from .render import _EDGE_TOKEN, Diagram, ParseError
 
-_EDGE_ALTS = ["####>", "<####", "####", "#>", "<#", "=>", "<=", "#", "=", "-"]
-_EDGE_DECODE = {
-    "-": (1, 0), "=": (2, 0), "#": (3, 0), "####": (4, 0),
-    "=>": (2, 1), "<=": (2, -1), "#>": (3, 1), "<#": (3, -1),
-    "####>": (4, 1), "<####": (4, -1),
-}
+# The rendered bonds plus the arrowless double and triple bonds, which are
+# read only to be rejected with their offset; longest tokens are tried first.
+_EDGE_DECODE = {token: sig for sig, token in _EDGE_TOKEN.items()}
+_EDGE_DECODE.update({"=": (2, 0), "#": (3, 0)})
+_EDGE_ALTS = sorted(_EDGE_DECODE, key=len, reverse=True)
 
 
-class _Builder:
-    def __init__(self) -> None:
-        self.next_id = 0
+class _Parser:
+    """Reads nodes 0, 1, ... in text order, with their bonds and marks."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.sigma = False
         self.nodes: List[int] = []
         self.edges: List[Edge] = []
         self.white: List[int] = []
@@ -39,8 +43,7 @@ class _Builder:
         self.ann: Dict[int, int] = {}
 
     def add_node(self, token: str, ann: Optional[int]) -> int:
-        v = self.next_id
-        self.next_id += 1
+        v = len(self.nodes)
         self.nodes.append(v)
         if token == "O":
             self.white.append(v)
@@ -55,24 +58,8 @@ class _Builder:
         need their arrowhead."""
         if mult in (2, 3) and rel == 0:
             raise ParseError("a double or triple bond needs an arrowhead", pos)
-        short = None
-        if rel == 1:
-            short = v
-        elif rel == -1:
-            short = u
-        if mult == 1:
-            short = None
-        a, b = min(u, v), max(u, v)
-        self.edges.append(Edge(a, b, mult, short))
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.b = _Builder()
-        self.sigma = False
-        self.cycle_components: List[bool] = []
+        short = None if rel == 0 else (v if rel == 1 else u)
+        self.edges.append(_edge(u, v, mult, short))
 
     def error(self, msg: str) -> ParseError:
         return ParseError(msg, self.pos)
@@ -99,7 +86,7 @@ class _Parser:
             self.pos += 1
             if ann < 2:
                 raise ParseError("annotation must be >= 2", start)
-        return self.b.add_node(ch, ann)
+        return self.add_node(ch, ann)
 
     def try_edge(self) -> Optional[Tuple[int, int]]:
         for alt in _EDGE_ALTS:
@@ -120,14 +107,14 @@ class _Parser:
                 if self.peek() != ")":
                     raise self.error("expected )")
                 self.pos += 1
-                self.b.add_edge(last, sub_first, 1, 0, self.pos)
+                self.add_edge(last, sub_first, 1, 0, self.pos)
             bond = self.pos
             edge = self.try_edge()
             if edge is None:
                 return first, last, length
             mult, rel = edge
             nxt = self.eat_node()
-            self.b.add_edge(last, nxt, mult, rel, bond)
+            self.add_edge(last, nxt, mult, rel, bond)
             last, length = nxt, length + 1
 
     def parse(self) -> None:
@@ -144,7 +131,7 @@ class _Parser:
                 # affine A_1 is written o####o.
                 if length < 3:
                     raise ParseError("a cycle needs at least three nodes", at)
-                self.b.add_edge(last, first, 1, 0, self.pos)
+                self.add_edge(last, first, 1, 0, self.pos)
             if self.text.startswith(" + ", self.pos):
                 self.pos += 3
                 continue
@@ -160,21 +147,20 @@ def read(s: str) -> Diagram:
     """Parse s; `render.parse`, which calls this, documents the contract."""
     p = _Parser(s)
     p.parse()
-    b = p.b
-    d = DynkinDiagram(tuple(b.nodes), frozenset(b.edges))
-    if not b.white:
+    d = DynkinDiagram(tuple(p.nodes), frozenset(p.edges))
+    if not p.white:
         try:
             classes = classify(d)
         except UnrecognizedDiagram:
             pass  # fall through to affine recognition
         else:
             if not p.sigma:
-                return marked(d, b.crossed, b.ann)
+                return marked(d, p.crossed, p.ann)
             if len(classes) % 2 != 0:
                 raise ParseError("sigma needs an even number of components", len(s))
             # Halve each class of marked-isomorphic components, in text order.
-            md = marked(d, b.crossed, b.ann)
-            mark = lambda v: (v in md.crossed, b.ann.get(v, 0))  # noqa: E731
+            md = marked(d, p.crossed, p.ann)
+            mark = lambda v: (v in md.crossed, p.ann.get(v, 0))  # noqa: E731
             groups: Dict[object, list] = {}
             for c in classes:
                 groups.setdefault(_mark_key(*c, mark), []).append(c)
@@ -183,10 +169,10 @@ def read(s: str) -> Diagram:
             left = [c for g in groups.values() for c in g[:len(g) // 2]]
             right = [c for g in groups.values() for c in g[len(g) // 2:]]
             iso = find_marked_isomorphism(md, md, left, right)
-            return marked(d, b.crossed, b.ann, sorted(iso.items()))
-    if b.crossed:
+            return marked(d, p.crossed, p.ann, sorted(iso.items()))
+    if p.crossed:
         raise ParseError("crossed nodes only occur in finite diagrams", len(s))
-    if len(b.nodes) > MAX_RANK + 1:
+    if len(p.nodes) > MAX_RANK + 1:
         raise ParseError(f"an affine diagram has at most MAX_RANK + 1 = {MAX_RANK + 1} nodes", len(s))
     if len(d.components()) != 1:
         raise ParseError("an affine diagram is connected", len(s))
@@ -196,6 +182,6 @@ def read(s: str) -> Diagram:
     if hit is None:
         raise ParseError("not a recognised finite or affine diagram", len(s))
     a, iso = hit
-    if not b.white:
+    if not p.white:
         return a
-    return MarkedKacDiagram(a, frozenset([iso[w] for w in b.white]))
+    return MarkedKacDiagram(a, frozenset([iso[w] for w in p.white]))

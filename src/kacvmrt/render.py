@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .affine import AffineDiagram, MarkedKacDiagram
-from .diagrams import DynkinDiagram, Edge, MarkedDynkinDiagram, classify, diagram_automorphisms
+from .diagrams import DynkinDiagram, Edge, MarkedDynkinDiagram, _edge_signature, classify, diagram_automorphisms
 from .roots import CartanType
 
 Diagram = Union[MarkedDynkinDiagram, MarkedKacDiagram, AffineDiagram, DynkinDiagram]
@@ -116,6 +116,7 @@ def _affine_spine(a: AffineDiagram) -> Optional[Spine]:
 # ---------------------------------------------------------------------------
 # Rendering
 
+# The token of each bond by its `_edge_signature` seen from its left end.
 _EDGE_TOKEN = {
     (1, 0): "-",
     (2, 1): "=>",
@@ -128,24 +129,8 @@ _EDGE_TOKEN = {
 }
 
 
-def _edge_token(e: Edge, left: int) -> str:
-    if e.short is None:
-        return _EDGE_TOKEN[(e.mult, 0)]
-    rel = 1 if e.short == e.other(left) else -1
-    return _EDGE_TOKEN[(e.mult, rel)]
-
-
 def _node_token(v: int, marks: Dict[int, str]) -> str:
     return marks.get(v, "o")
-
-
-def _render_chain(nodes: Sequence[int], edge_of: Callable[[int, int], Edge],
-                  marks: Dict[int, str]) -> str:
-    out = [_node_token(nodes[0], marks)]
-    for u, v in zip(nodes, nodes[1:]):
-        out.append(_edge_token(edge_of(u, v), u))
-        out.append(_node_token(v, marks))
-    return "".join(out)
 
 
 def _render_spine(spine: Spine, edge_of: Callable[[int, int], Edge],
@@ -154,26 +139,26 @@ def _render_spine(spine: Spine, edge_of: Callable[[int, int], Edge],
     prev: Optional[int] = None
     for v, branches in spine:
         if prev is not None:
-            out.append(_edge_token(edge_of(prev, v), prev))
+            out.append(_EDGE_TOKEN[_edge_signature(edge_of(prev, v), prev)])
         out.append(_node_token(v, marks))
         for br in branches:
             if edge_of(v, br[0]).mult != 1:
                 raise AssertionError("branch attachments are single edges")
-            out.append("(" + _render_chain(br, edge_of, marks) + ")")
+            out.append("(" + _render_spine(_chain_spine(br), edge_of, marks) + ")")
         prev = v
     return "".join(out)
 
 
-def _marks_of(d: Diagram) -> Dict[int, str]:
+def _kind_of(d: Diagram) -> Tuple[Optional[AffineDiagram], Optional[MarkedDynkinDiagram], Dict[int, str]]:
+    """(d's affine diagram or None, d as a marked finite diagram or None,
+    the token of each white or crossed node)."""
     if isinstance(d, MarkedKacDiagram):
-        return {v: "O" for v in d.white}
-    if isinstance(d, MarkedDynkinDiagram):
-        out = {}
-        ann = d.annotation_map
-        for v in d.crossed:
-            out[v] = f"x[{ann[v]}]" if v in ann else "x"
-        return out
-    return {}
+        return d.diagram, None, {v: "O" for v in d.white}
+    if isinstance(d, AffineDiagram):
+        return d, None, {}
+    md = d if isinstance(d, MarkedDynkinDiagram) else MarkedDynkinDiagram(d)
+    ann = md.annotation_map
+    return None, md, {v: f"x[{ann[v]}]" if v in ann else "x" for v in md.crossed}
 
 
 def _edge_lookup(adj: Dict[int, Dict[int, Edge]]) -> Callable[[int, int], Edge]:
@@ -223,18 +208,16 @@ def _affine_canonical(a: AffineDiagram, marks: Dict[int, str]) -> str:
     auts = affine_automorphisms(a)
     if spine is None:
         cyc = _cycle_order(adj)
-        return min(["@" + _render_chain([aut[v] for v in cyc], edge_of, marks) for aut in auts])
+        return min(["@" + _render_spine(_chain_spine([aut[v] for v in cyc]), edge_of, marks) for aut in auts])
     return min([_render_spine([(aut[v], [[aut[x] for x in br] for br in brs]) for v, brs in spine],
                               edge_of, marks) for aut in auts])
 
 
 def to_canonical_text(d: Diagram) -> str:
     """Canonical single-line encoding; equal iff diagrams are isomorphic."""
-    if isinstance(d, (AffineDiagram, MarkedKacDiagram)):
-        a = d.diagram if isinstance(d, MarkedKacDiagram) else d
-        return _affine_canonical(a, _marks_of(d))
-    md = d if isinstance(d, MarkedDynkinDiagram) else MarkedDynkinDiagram(d)
-    marks = _marks_of(md)
+    a, md, marks = _kind_of(d)
+    if a is not None:
+        return _affine_canonical(a, marks)
     edge_of = _edge_lookup(md.diagram.adjacency())
     parts = sorted(
         _component_canonical(t, mapping, edge_of, marks)
@@ -261,16 +244,15 @@ def parse(s: str) -> Diagram:
 
 def _layout(d: Diagram) -> List[str]:
     """Rows of ASCII art, spine on the base row and branches stacked above."""
-    marks = _marks_of(d)
-    if isinstance(d, (AffineDiagram, MarkedKacDiagram)):
-        a = d.diagram if isinstance(d, MarkedKacDiagram) else d
+    a, md, marks = _kind_of(d)
+    if a is not None:
         spine = _affine_spine(a)
         adj = a.adjacency()
         edge_of = _edge_lookup(adj)
         if spine is None:  # cycle: apex row + base chain
             cyc = _cycle_order(adj)
             apex, base = cyc[0], cyc[1:]
-            base_text = _render_chain(base, edge_of, marks)
+            base_text = _render_spine(_chain_spine(base), edge_of, marks)
             width = len(base_text)
             mid = max(width // 2 - 1, 0)
             apex_tok = _node_token(apex, marks)
@@ -280,7 +262,6 @@ def _layout(d: Diagram) -> List[str]:
                 base_text,
             ]
         return _spine_layout(spine, edge_of, marks)
-    md = d if isinstance(d, MarkedDynkinDiagram) else MarkedDynkinDiagram(d)
     edge_of = _edge_lookup(md.diagram.adjacency())
     blocks: List[str] = []
     for t, mapping in classify(md.diagram):
@@ -289,7 +270,7 @@ def _layout(d: Diagram) -> List[str]:
         blocks.append("")
     if blocks and blocks[-1] == "":
         blocks.pop()
-    if isinstance(md, MarkedDynkinDiagram) and md.sigma_pairs is not None:
+    if md.sigma_pairs is not None:
         blocks.append("~sigma")
     return blocks
 
@@ -302,7 +283,7 @@ def _spine_layout(spine: Spine, edge_of, marks: Dict[int, str]) -> List[str]:
     prev = None
     for v, branches in spine:
         if prev is not None:
-            base += _edge_token(edge_of(prev, v), prev)
+            base += _EDGE_TOKEN[_edge_signature(edge_of(prev, v), prev)]
         cols[v] = len(base)
         base += _node_token(v, marks)
         for i, br in enumerate(branches):
@@ -371,20 +352,14 @@ def to_latex(d: Diagram) -> str:
 
 
 def to_dot(d: Diagram) -> str:
-    marks = _marks_of(d)
-    if isinstance(d, (AffineDiagram, MarkedKacDiagram)):
-        a = d.diagram if isinstance(d, MarkedKacDiagram) else d
-        nodes, edges = a.nodes, a.edges
-        extra = {v: f" a={a.labels[v]}" for v in nodes}
-    else:
-        dd = d.diagram if isinstance(d, MarkedDynkinDiagram) else d
-        nodes, edges = dd.nodes, dd.edges
-        extra = {v: "" for v in nodes}
+    a, md, marks = _kind_of(d)
+    nodes, edges = (a.nodes, a.edges) if a is not None else (md.diagram.nodes, md.diagram.edges)
     lines = ["graph diagram {"]
     for v in nodes:
         tok = marks.get(v, "o")
         style = "filled" if tok == "o" else "solid"
-        label = f"{v}{extra[v]}" + (f" {tok}" if tok != "o" else "")
+        extra = "" if a is None else f" a={a.labels[v]}"
+        label = f"{v}{extra}" + (f" {tok}" if tok != "o" else "")
         lines.append(f'  n{v} [shape=circle, style={style}, label="{label}"];')
     for e in sorted(edges):
         attrs = [f"label=\"{e.mult}\""] if e.mult > 1 else []
@@ -400,22 +375,20 @@ def to_json(d: Diagram) -> str:
     """Stable JSON per the documented schema; byte-deterministic."""
     import json
 
-    if isinstance(d, (AffineDiagram, MarkedKacDiagram)):
-        a = d.diagram if isinstance(d, MarkedKacDiagram) else d
-        white = d.white if isinstance(d, MarkedKacDiagram) else frozenset()
+    a, md, marks = _kind_of(d)
+    if a is not None:
         obj = {
             "kind": "affine",
             "base": {"family": a.base.family, "rank": a.base.rank},
             "twist": a.twist,
             "nodes": [
-                {"id": v, "mark": "white" if v in white else "black"}
+                {"id": v, "mark": "white" if v in marks else "black"}
                 for v in a.nodes
             ],
             "edges": _edges_json(a.edges),
             "labels": list(a.labels),
         }
         return json.dumps(obj)
-    md = d if isinstance(d, MarkedDynkinDiagram) else MarkedDynkinDiagram(d)
     comps = classify(md.diagram)
     base = None
     if len(comps) == 1:

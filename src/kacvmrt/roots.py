@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import attrgetter, ge, gt, le, lt
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 FAMILIES = "ABCDEFG"
 
@@ -178,19 +178,26 @@ def simple_norms(t: CartanType) -> Tuple[int, ...]:
     return tuple([2] * n)
 
 
+def _cartan_from_bonds(n: int, bonds: Iterable[Tuple[int, int, int, Optional[int]]]
+                       ) -> Tuple[Tuple[int, ...], ...]:
+    """a[i][j] = <alpha_i, alpha_j^vee> on nodes 0..n-1 from bonds (i, j,
+    mult, short end or None); an undirected quadruple bond gives (-2, -2)."""
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j, mult, short in bonds:
+        if short is None:
+            a[i][j] = a[j][i] = -1 if mult == 1 else -2
+        else:
+            lng = i if short == j else j
+            a[lng][short] = -mult
+            a[short][lng] = -1
+    return tuple([tuple(row) for row in a])
+
+
 @lru_cache(maxsize=None)
 def cartan_matrix(t: CartanType) -> Tuple[Tuple[int, ...], ...]:
     """Cartan matrix a[i][j] = <alpha_i, alpha_j^vee>, 0-indexed."""
-    n = t.rank
-    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i, j, mult, short in simple_edges(t):
-        if mult == 1:
-            a[i - 1][j - 1] = a[j - 1][i - 1] = -1
-        else:
-            lng = i if short == j else j
-            a[lng - 1][short - 1] = -mult
-            a[short - 1][lng - 1] = -1
-    return tuple([tuple(row) for row in a])
+    return _cartan_from_bonds(t.rank, [(i - 1, j - 1, mult, None if short is None else short - 1)
+                                       for i, j, mult, short in simple_edges(t)])
 
 
 class Root(OrderedRecord):
