@@ -353,15 +353,15 @@ def to_latex(d: Diagram) -> str:
 
 def to_dot(d: Diagram) -> str:
     a, md, marks = _kind_of(d)
-    nodes, edges = (a.nodes, a.edges) if a is not None else (md.diagram.nodes, md.diagram.edges)
+    g = md.diagram if a is None else a
     lines = ["graph diagram {"]
-    for v in nodes:
+    for v in g.nodes:
         tok = marks.get(v, "o")
         style = "filled" if tok == "o" else "solid"
         extra = "" if a is None else f" a={a.labels[v]}"
         label = f"{v}{extra}" + (f" {tok}" if tok != "o" else "")
         lines.append(f'  n{v} [shape=circle, style={style}, label="{label}"];')
-    for e in sorted(edges):
+    for e in sorted(g.edges):
         attrs = [f"label=\"{e.mult}\""] if e.mult > 1 else []
         if e.short is not None:
             attrs.append(f"comment=\"short end n{e.short}\"")
