@@ -47,7 +47,8 @@ class AffineDiagram(Record):
         return self.labels[v]
 
     def finite_part(self, drop: Tuple[int, ...] = (0,)) -> DynkinDiagram:
-        return DynkinDiagram(self.nodes, self.edges).delete(drop)
+        drop_set = set(drop)
+        return DynkinDiagram.restrict(self, [v for v in self.nodes if v not in drop_set])
 
     def cartan_matrix(self) -> Tuple[Tuple[int, ...], ...]:
         """Affine Cartan matrix a[i][j] = <alpha_i, alpha_j^vee> by node id."""

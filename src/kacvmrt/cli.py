@@ -8,6 +8,7 @@ catalogue export (export-atlas).  No classification logic lives here.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -106,7 +107,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (`| head`): exit quietly with the code a
+        # shell gives a process SIGPIPE kills, 128 + 13, stdout on devnull
+        # so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValueError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

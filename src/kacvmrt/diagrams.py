@@ -9,9 +9,10 @@ the dimension counts are computed through.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .roots import CartanType, OrderedRecord, Record, positive_roots, simple_edges
+from .roots import CartanType, OrderedRecord, Record, SimpleEdge, positive_roots, simple_edges
 
 Classes = Sequence[Tuple[CartanType, Dict[int, int]]]  # what classify returns
 
@@ -139,6 +140,16 @@ def _chain_from(adj: Dict[int, Dict[int, Edge]], prev: Optional[int], cur: int) 
     return out
 
 
+# One CartanType per (family, rank) and one edge set per type, built on
+# first use: recognition meets the same few types over and over.
+_cartan_type = lru_cache(maxsize=None)(CartanType)
+
+
+@lru_cache(maxsize=None)
+def _simple_edge_set(t: CartanType) -> FrozenSet[SimpleEdge]:
+    return frozenset(simple_edges(t))
+
+
 def _classify_component(
     adj: Dict[int, Dict[int, Edge]], comp: Tuple[int, ...], edges: Sequence[Edge]
 ) -> Tuple[CartanType, Dict[int, int]]:
@@ -149,7 +160,7 @@ def _classify_component(
     """
     n = len(comp)
     if n == 1:
-        return CartanType("A", 1), {comp[0]: 1}
+        return _cartan_type("A", 1), {comp[0]: 1}
 
     if len(edges) != n - 1:
         # Finite types are trees.  Checking first keeps the walks below from
@@ -166,7 +177,7 @@ def _classify_component(
         if n != 2:
             raise UnrecognizedDiagram("triple bond only occurs in G2")
         e = multi[0]
-        return CartanType("G", 2), {e.short: 1, e.other(e.short): 2}
+        return _cartan_type("G", 2), {e.short: 1, e.other(e.short): 2}
 
     if multi:
         if len(multi) > 1 or any(v for v in comp if deg[v] > 2):
@@ -175,7 +186,7 @@ def _classify_component(
         e = multi[0]
         lng = e.other(e.short)
         if n == 2:
-            return CartanType("B", 2), {e.short: 2, lng: 1}
+            return _cartan_type("B", 2), {e.short: 2, lng: 1}
         end_on_edge = [v for v in (e.a, e.b) if deg[v] == 1]
         if not end_on_edge:
             if n != 4:
@@ -183,12 +194,12 @@ def _classify_component(
             # F4: long side of the double edge is node 2, short side node 3.
             (outer_long,) = [v for v in adj[lng] if v != e.short]
             (outer_short,) = [v for v in adj[e.short] if v != lng]
-            return CartanType("F", 4), {outer_long: 1, lng: 2, e.short: 3, outer_short: 4}
+            return _cartan_type("F", 4), {outer_long: 1, lng: 2, e.short: 3, outer_short: 4}
         # alpha_n sits at the free end of the double bond: B_n if that is
         # the short end, C_n if the long one.
         tip = end_on_edge[0]
         chain = _chain_from(adj, None, tip)
-        return CartanType("B" if tip == e.short else "C", n), {v: n - k for k, v in enumerate(chain)}
+        return _cartan_type("B" if tip == e.short else "C", n), {v: n - k for k, v in enumerate(chain)}
 
     # Simply laced: A, D or E.
     branch = sorted(v for v in comp if deg[v] >= 3)
@@ -196,7 +207,7 @@ def _classify_component(
         raise UnrecognizedDiagram("not a finite simply-laced type")
     if not branch:
         chain = _chain_from(adj, None, min(v for v in comp if deg[v] == 1))
-        return CartanType("A", n), {v: k + 1 for k, v in enumerate(chain)}
+        return _cartan_type("A", n), {v: k + 1 for k, v in enumerate(chain)}
 
     c = branch[0]
     arms = sorted((_chain_from(adj, c, first) for first in adj[c]), key=lambda a: (len(a), a[-1]))
@@ -204,11 +215,11 @@ def _classify_component(
     if lengths[:2] == (1, 1):
         mapping = {c: n - 2, arms[0][0]: n - 1, arms[1][0]: n}
         mapping.update((v, n - 3 - i) for i, v in enumerate(arms[2]))
-        return CartanType("D", n), mapping
+        return _cartan_type("D", n), mapping
     if lengths in ((1, 2, 2), (1, 2, 3), (1, 2, 4)):
         mapping = {c: 4, arms[0][0]: 2, arms[1][0]: 3, arms[1][1]: 1}
         mapping.update((v, 5 + i) for i, v in enumerate(arms[2]))
-        return CartanType("E", n), mapping
+        return _cartan_type("E", n), mapping
 
     raise UnrecognizedDiagram(f"arm lengths {lengths} are not a finite type")
 
@@ -221,7 +232,7 @@ def _revalidate(t: CartanType, mapping: Dict[int, int], comp: Tuple[int, ...],
     for e in edges:
         i, j = mapping.get(e.a, 0), mapping.get(e.b, 0)
         got.add((min(i, j), max(i, j), e.mult, None if e.short is None else mapping.get(e.short, 0)))
-    if len(comp) != t.rank or len(got) != len(edges) or got != set(simple_edges(t)):
+    if len(comp) != t.rank or len(got) != len(edges) or got != _simple_edge_set(t):
         raise UnrecognizedDiagram(f"component {comp} failed re-validation")
 
 
@@ -273,18 +284,42 @@ def _nodes_in(d: DynkinDiagram, nodes: Iterable[int]) -> set:
     return out
 
 
-def _num_positive_roots(d: DynkinDiagram, classes: Optional[Classes] = None) -> int:
-    return sum(t.num_positive_roots for t, _ in (classify(d) if classes is None else classes))
+def _levi_positive_roots(t: CartanType, crossed: Sequence[int]) -> int:
+    """|Phi+(L)| for the Levi L of t crossing the sorted Bourbaki indices
+    `crossed`.  For A-D each gap of the chain is a simple factor, counted
+    by the Bourbaki plates (k(k+1)/2 for A_k, k^2 for B_k and C_k, k(k-1)
+    for D_k); D's gap ending at n-2 joins the uncrossed fork nodes."""
+    f, n = t.family, t.rank
+    if f in "EFG":
+        return sum(1 for r in positive_roots(t) if not any([r.coeffs[i - 1] for i in crossed]))
+    end = n - 2 if f == "D" else n
+    cuts = [0] + [i for i in crossed if i <= end] + [end + 1]
+    *gaps, k = [b - a - 1 for a, b in zip(cuts, cuts[1:])]
+    levi = sum(g * (g + 1) // 2 for g in gaps)
+    if f in "BC":
+        return levi + k * k
+    if f == "D":
+        forks = 2 - len([i for i in crossed if i > end])
+        if forks == 2:
+            return levi + (k + 2) * (k + 1)
+        k += forks
+    return levi + k * (k + 1) // 2
 
 
 def parabolic_dimension(d: DynkinDiagram, marked: Iterable[int], classes: Optional[Classes] = None) -> int:
     """Number of positive roots supported on at least one marked node.
 
-    This is dim G/P for the parabolic P crossing `marked`, counted as
-    |Phi+(G)| - |Phi+(L)| with the Levi L the diagram minus the marked
-    nodes (Bourbaki's root counts per simple factor); classes, if given, is classify(d).
+    This is dim G/P for the parabolic P crossing `marked`, counted per
+    simple factor of G as |Phi+(G)| - |Phi+(L)| from the crossed Bourbaki
+    indices, with no second recognition; classes, if given, is classify(d).
     """
-    return _num_positive_roots(d, classes) - _num_positive_roots(d.delete(_nodes_in(d, marked)))
+    marked_set = _nodes_in(d, marked)
+    total = 0
+    for t, mapping in classify(d) if classes is None else classes:
+        crossed = sorted([mapping[v] for v in marked_set if v in mapping])
+        if crossed:
+            total += t.num_positive_roots - _levi_positive_roots(t, crossed)
+    return total
 
 
 def graded_dimensions(d: DynkinDiagram, marked: Iterable[int]) -> Dict[int, int]:

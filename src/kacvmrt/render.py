@@ -22,9 +22,10 @@ and JSON emitters are presentation-only and never parsed back.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .affine import AffineDiagram, MarkedKacDiagram
+from .affine import AffineDiagram, MarkedKacDiagram, affine_diagram
 from .diagrams import DynkinDiagram, Edge, MarkedDynkinDiagram, _edge_signature, classify, diagram_automorphisms
 from .roots import CartanType
 
@@ -133,20 +134,31 @@ def _node_token(v: int, marks: Dict[int, str]) -> str:
     return marks.get(v, "o")
 
 
-def _render_spine(spine: Spine, edge_of: Callable[[int, int], Edge],
-                  marks: Dict[int, str]) -> str:
+def _spine_template(spine: Spine, edge_of: Callable[[int, int], Edge]) -> Tuple[List[int], str]:
+    """The nodes of the spine's text in order, and the text with a "%s"
+    slot for each node's token."""
+    nodes: List[int] = []
     out: List[str] = []
     prev: Optional[int] = None
     for v, branches in spine:
         if prev is not None:
             out.append(_EDGE_TOKEN[_edge_signature(edge_of(prev, v), prev)])
-        out.append(_node_token(v, marks))
+        nodes.append(v)
+        out.append("%s")
         for br in branches:
             if edge_of(v, br[0]).mult != 1:
                 raise AssertionError("branch attachments are single edges")
-            out.append("(" + _render_spine(_chain_spine(br), edge_of, marks) + ")")
+            br_nodes, br_text = _spine_template(_chain_spine(br), edge_of)
+            nodes += br_nodes
+            out.append("(" + br_text + ")")
         prev = v
-    return "".join(out)
+    return nodes, "".join(out)
+
+
+def _render_spine(spine: Spine, edge_of: Callable[[int, int], Edge],
+                  marks: Dict[int, str]) -> str:
+    nodes, text = _spine_template(spine, edge_of)
+    return text % tuple([_node_token(v, marks) for v in nodes])
 
 
 def _kind_of(d: Diagram) -> Tuple[Optional[AffineDiagram], Optional[MarkedDynkinDiagram], Dict[int, str]]:
@@ -197,20 +209,30 @@ def _cycle_order(adj: Dict[int, Dict[int, Edge]]) -> List[int]:
         cyc.append(min(nbrs))
 
 
-def _affine_canonical(a: AffineDiagram, marks: Dict[int, str]) -> str:
-    """The least text over the automorphisms of a; a cycle is written as
-    the chain of its nodes after an "@"."""
+@lru_cache(maxsize=None)
+def _affine_template(base: CartanType, twist: int) -> Tuple[str, Tuple[Tuple[int, ...], ...]]:
+    """The text of base^(twist) with a "%s" slot for each node's token,
+    and the nodes filling the slots under each automorphism: the rest of
+    the text is the same under all of them.  A cycle is written as the
+    chain of its nodes after an "@"."""
     from .recognition import affine_automorphisms
 
+    a = affine_diagram(base, twist)
     adj = a.adjacency()
-    edge_of = _edge_lookup(adj)
     spine = _affine_spine(a)
-    auts = affine_automorphisms(a)
-    if spine is None:
-        cyc = _cycle_order(adj)
-        return min(["@" + _render_spine(_chain_spine([aut[v] for v in cyc]), edge_of, marks) for aut in auts])
-    return min([_render_spine([(aut[v], [[aut[x] for x in br] for br in brs]) for v, brs in spine],
-                              edge_of, marks) for aut in auts])
+    nodes, text = _spine_template(_chain_spine(_cycle_order(adj)) if spine is None else spine, _edge_lookup(adj))
+    return ("@" if spine is None else "") + text, tuple([tuple([aut[v] for v in nodes])
+                                                         for aut in affine_automorphisms(a)])
+
+
+def _affine_canonical(a: AffineDiagram, marks: Dict[int, str]) -> str:
+    """The least text over the automorphisms of a.  Node tokens are one
+    letter, so that is the text of the least sequence of node tokens, and
+    only the automorphisms giving the least first token are tried."""
+    text, images = _affine_template(a.base, a.twist)
+    first = min([marks.get(nodes[0], "o") for nodes in images])
+    return text % tuple(min([[marks.get(v, "o") for v in nodes]
+                             for nodes in images if marks.get(nodes[0], "o") == first]))
 
 
 def to_canonical_text(d: Diagram) -> str:

@@ -185,6 +185,20 @@ def test_export_atlas_rank12_is_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_RANK12_SHA256
 
 
+def test_closed_pipe_exits_quietly():
+    # `kacvmrt list --max-rank 30 | head -1`: the output is larger than a
+    # pipe buffer, so closing the pipe after one line cuts the writer off.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "kacvmrt", "list", "--max-rank", "30"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.readline().startswith(b"group-A(n=1) ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 def test_cli_import_leaves_verify_unloaded():
     # Only `verify` needs the sweep module; every other command's cold
     # start skips compiling it and building its golden catalogue.

@@ -1,5 +1,6 @@
 """Diagram recognition, parabolic dimensions and gradings."""
 
+import itertools
 import random
 
 import pytest
@@ -141,6 +142,68 @@ class TestParabolicDimension:
         b = standard_diagram(CartanType("A", 2), [11, 12])
         both = DynkinDiagram(a.nodes + b.nodes, a.edges | b.edges)
         assert parabolic_dimension(both, {2, 11}) == 7 + 2
+
+
+def _levi_root_count(t, crossed):
+    """|Phi+(L)| by enumeration: the positive roots that miss every crossed index."""
+    return sum(1 for r in positive_roots(t) if not any(r.coefficient(i) for i in crossed))
+
+
+ALL_TYPES_TO_RANK_9 = (
+    [CartanType("A", n) for n in range(1, 10)]
+    + [CartanType(f, n) for f in "BC" for n in range(2, 10)]
+    + [CartanType("D", n) for n in range(3, 10)]
+    + [CartanType("E", n) for n in (6, 7, 8)]
+    + [CartanType("F", 4), CartanType("G", 2)]
+)
+
+
+def test_levi_closed_form_on_every_crossing_to_rank_9():
+    cases = 0
+    for t in ALL_TYPES_TO_RANK_9:
+        for k in range(t.rank + 1):
+            for crossed in itertools.combinations(range(1, t.rank + 1), k):
+                assert diagrams._levi_positive_roots(t, crossed) == _levi_root_count(t, crossed), (t, crossed)
+                cases += 1
+    assert cases == 4546
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_levi_closed_form_on_random_crossings_to_rank_40(family):
+    rng = random.Random(family)
+    for n in (17, 40):
+        t = CartanType(family, n)
+        for _ in range(40):
+            crossed = sorted(rng.sample(range(1, n + 1), rng.randint(0, 6)))
+            assert diagrams._levi_positive_roots(t, crossed) == _levi_root_count(t, crossed), (t, crossed)
+
+
+def test_classify_builds_each_type_once(monkeypatch):
+    # One CartanType per (family, rank): a relabelled copy of a classified
+    # diagram is recognised without constructing a type, and as the very
+    # same type objects.
+    types = [CartanType(f, n) for f, n in (("A", 1), ("A", 5), ("B", 2), ("B", 4), ("C", 3),
+                                           ("D", 6), ("E", 7), ("F", 4), ("G", 2))]
+    nodes, edges, k = [], set(), 0
+    for t in types:
+        part = standard_diagram(t, list(range(k, k + t.rank)))
+        nodes += part.nodes
+        edges |= part.edges
+        k += t.rank
+    d = DynkinDiagram(nodes, edges)
+    first = [t for t, _ in classify(d)]
+    ids = list(range(1000, 1000 + k))
+    random.Random(7).shuffle(ids)
+    perm = dict(zip(nodes, ids))
+    copy = DynkinDiagram(ids, {Edge(min(perm[e.a], perm[e.b]), max(perm[e.a], perm[e.b]), e.mult,
+                                    None if e.short is None else perm[e.short]) for e in edges})
+    built = []
+    real_init = CartanType.__init__
+    monkeypatch.setattr(CartanType, "__init__", lambda self, *a: built.append(a) or real_init(self, *a))
+    again = [t for t, _ in classify(copy)]
+    assert built == []
+    assert sorted(first) == sorted(types)
+    assert sorted(map(id, again)) == sorted(map(id, first))
 
 
 class TestGradedDimensions:

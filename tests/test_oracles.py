@@ -1,7 +1,9 @@
 """Property tests of the closed forms against the computations they replaced.
 
-`parabolic_dimension` counts |Phi+(G)| - |Phi+(L)|; the oracle enumerates
-the positive roots and counts those meeting a crossed node.
+`parabolic_dimension` counts |Phi+(G)| - |Phi+(L)| from the crossed
+Bourbaki indices; one oracle enumerates the positive roots and counts
+those meeting a crossed node, the other deletes the crossed nodes and
+classifies what is left.
 `find_isomorphism` builds per-call incidence maps and filters candidates
 by mapped neighbours; the oracle is the plain backtracking search over
 `neighbors`/`edge_between`, which must return the very same mapping.
@@ -13,8 +15,12 @@ tags about whether an isomorphism exists, and the automorphisms the
 renderer minimises over must be the whole group a brute-force search
 finds.  Canonical text must not move under relabelling (for affine
 diagrams: under moving the white nodes by an automorphism), and parsing it
-back must give it again.
+back must give it again.  Affine canonical text joins node tokens into a
+per-type template for the automorphisms giving the least first token; the
+oracle renders the diagram under every automorphism and keeps the least.
 """
+
+import itertools
 
 import pytest
 
@@ -37,7 +43,15 @@ from kacvmrt.diagrams import (  # noqa: E402
     standard_diagram,
 )
 from kacvmrt.recognition import affine_automorphisms  # noqa: E402
-from kacvmrt.render import parse, to_canonical_text  # noqa: E402
+from kacvmrt.render import (  # noqa: E402
+    _affine_spine,
+    _chain_spine,
+    _cycle_order,
+    _edge_lookup,
+    _render_spine,
+    parse,
+    to_canonical_text,
+)
 from kacvmrt.roots import CartanType, positive_roots  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -97,12 +111,20 @@ def _root_count(d, crossed):
     return total
 
 
+def _delete_and_classify(d, crossed):
+    """dim G/P as |Phi+(G)| - |Phi+(L)|, with L recognised by a second classify."""
+    def count(g):
+        return sum(t.num_positive_roots for t, _ in classify(g))
+
+    return count(d) - count(d.delete(crossed))
+
+
 @SETTINGS
 @given(st.data())
 def test_parabolic_dimension_matches_root_count(data):
     d = data.draw(finite_unions())
     crossed = data.draw(st.sets(st.sampled_from(d.nodes)))
-    assert parabolic_dimension(d, crossed) == _root_count(d, crossed)
+    assert parabolic_dimension(d, crossed) == _root_count(d, crossed) == _delete_and_classify(d, crossed)
 
 
 def _backtracking_oracle(d1, d2, t1, t2):
@@ -428,6 +450,42 @@ def test_canonical_text_of_affine_diagrams(shape, data):
     white = data.draw(st.sets(st.sampled_from(a.nodes), min_size=1))
     _assert_canonical(MarkedKacDiagram(a, white), MarkedKacDiagram(a, {aut[w] for w in white}))
     _assert_canonical(a, a)
+
+
+def _affine_canonical_oracle(a, white):
+    """The least text over a's automorphisms, each rendered in full; a
+    cycle is the chain of its nodes after an "@"."""
+    marks = {v: "O" for v in white}
+    adj = a.adjacency()
+    edge_of = _edge_lookup(adj)
+    spine = _affine_spine(a)
+    auts = affine_automorphisms(a)
+    if spine is None:
+        cyc = _cycle_order(adj)
+        return min(["@" + _render_spine(_chain_spine([aut[v] for v in cyc]), edge_of, marks) for aut in auts])
+    return min([_render_spine([(aut[v], [[aut[x] for x in br] for br in brs]) for v, brs in spine],
+                              edge_of, marks) for aut in auts])
+
+
+def _kac_text(a, white):
+    return to_canonical_text(MarkedKacDiagram(a, white) if white else a)
+
+
+@pytest.mark.parametrize("shape", _shapes_up_to(12), ids=lambda s: f"{s[0]}^({s[1]})")
+def test_affine_canonical_text_matches_every_automorphism(shape):
+    # Every set of at most two white nodes, the plain diagram included.
+    a = affine_diagram(*shape)
+    for k in range(3):
+        for white in itertools.combinations(a.nodes, k):
+            assert _kac_text(a, white) == _affine_canonical_oracle(a, white), white
+
+
+@SETTINGS
+@given(st.sampled_from(_shapes_up_to(30)), st.data())
+def test_affine_canonical_text_matches_every_automorphism_to_rank_30(shape, data):
+    a = affine_diagram(*shape)
+    white = data.draw(st.sets(st.sampled_from(a.nodes), min_size=1))
+    assert _kac_text(a, white) == _affine_canonical_oracle(a, white)
 
 
 @SETTINGS
