@@ -61,6 +61,15 @@ def z_orbit_diagram(m: MarkedKacDiagram, kind: str) -> Tuple[MarkedDynkinDiagram
     Hermitian exceptional type; for the Hermitian non-exceptional type a
     single diagram whose two isomorphic halves carry the sigma pairing.
     """
+    return _z_orbit(m, kind)[0]
+
+
+def _z_orbit(m: MarkedKacDiagram,
+             kind: str) -> Tuple[Tuple[MarkedDynkinDiagram, ...], Optional[Tuple[Classes, Classes]]]:
+    """z_orbit_diagram's result and, for a sigma-paired Z, the classes of
+    its left and right halves (the classes of the diagram both halves
+    mark, and the same shifted onto the right half's ids, which keeps
+    classify's node-order tie-breaks); None for the other kinds."""
     if not validate_kac_marking(m, kind):
         raise ValueError(
             f"marking violates the {kind} white-node rule "
@@ -71,15 +80,15 @@ def z_orbit_diagram(m: MarkedKacDiagram, kind: str) -> Tuple[MarkedDynkinDiagram
     finite = m.diagram.finite_part(tuple(whites))
     halves = [_orbit_half(adj[w], m.white, finite) for w in whites]
     if kind in ("group", "simple"):
-        return (halves[0],)
+        return (halves[0],), None
     if kind == "hermitian-exceptional":
-        return tuple(halves)
+        return tuple(halves), None
 
     # Non-exceptional: one sigma-paired diagram out of two disjoint copies.
     # Both halves mark the one diagram `finite`, classified once.
     h0, h1 = halves
     if not finite.nodes:
-        return (marked(DynkinDiagram(()), sigma_pairs=()),)
+        return (marked(DynkinDiagram(()), sigma_pairs=()),), ((), ())
     classes = classify(finite)
     iso = find_marked_isomorphism(h0, h1, classes, classes)
     if iso is None:
@@ -88,7 +97,9 @@ def z_orbit_diagram(m: MarkedKacDiagram, kind: str) -> Tuple[MarkedDynkinDiagram
     h1s = _shift_marked(h1, offset)
     union = DynkinDiagram(finite.nodes + h1s.diagram.nodes, finite.edges | h1s.diagram.edges)
     pairs = tuple(sorted([(v, iso[v] + offset) for v in finite.nodes]))
-    return (marked(union, h0.crossed | h1s.crossed, h0.annotations + h1s.annotations, pairs),)
+    shifted = tuple([(t, {v + offset: i for v, i in mapping.items()}) for t, mapping in classes])
+    z = marked(union, h0.crossed | h1s.crossed, h0.annotations + h1s.annotations, pairs)
+    return (z,), (classes, shifted)
 
 
 def z_dimension(z: MarkedDynkinDiagram, classes: Optional[Classes] = None) -> int:
@@ -151,8 +162,13 @@ def identify(v: MarkedDynkinDiagram, classes: Optional[Classes] = None) -> str:
         return "P^0"
     if v.sigma_pairs is not None:
         return " u ".join(identify(h) for h in v.sigma_halves())
+    return _name(v, classify(v.diagram) if classes is None else classes)
+
+
+def _name(v: MarkedDynkinDiagram, classes: Classes) -> str:
+    """The name of the components of v that classes lists."""
     names: List[Tuple[int, str]] = []
-    for t, mapping in classify(v.diagram) if classes is None else classes:
+    for t, mapping in classes:
         crossed = tuple(sorted(mapping[x] for x in v.crossed if x in mapping))
         ann = {mapping[k]: d for k, d in v.annotations if k in mapping}
         names.append((t.rank, _component_name(t, crossed, ann)))
@@ -207,20 +223,28 @@ def vmrt(e: SymmetricSpaceEntry) -> VMRTDescription:
     """The variety of minimal rational tangents of the wonderful
     compactification of e, as marked diagram(s) plus dimension and name."""
     kac = e.kac_diagram()
-    zs = z_orbit_diagram(kac, e.kind)
-    # Every Z marks the one diagram z_orbit_diagram builds: recognise it once.
-    classes = None if zs[0].sigma_pairs is not None else classify(zs[0].diagram)
-    zdims = {z_dimension(z, classes) for z in zs}
-    if len(zdims) != 1:
-        raise AssertionError("orbit halves have different dimensions")
-    zdim = zdims.pop()
+    zs, halves = _z_orbit(kac, e.kind)
+    if halves is None:
+        # Every Z marks the one diagram _z_orbit builds: recognise it once.
+        classes = classify(zs[0].diagram)
+        zdims = {z_dimension(z, classes) for z in zs}
+        if len(zdims) != 1:
+            raise AssertionError("orbit halves have different dimensions")
+        zdim = zdims.pop()
+        ident = " u ".join(identify(z, classes) for z in zs)
+    else:
+        # One sigma-paired Z: dim Z and the names read its halves' classes,
+        # as z_dimension and identify would after restricting to each half.
+        (z,) = zs
+        zdim = parabolic_dimension(z.diagram, z.crossed, halves[0])
+        ident = " u ".join(_name(z, c) for c in halves) if z.diagram.nodes else "P^0"
 
     if not e.restricted.is_type_a:
         return VMRTDescription(
             kind="legendrian-Z",
             components=zs,
             dimension=zdim,
-            identification=" u ".join(identify(z, classes) for z in zs),
+            identification=ident,
             z=zs, z_dim=zdim,
         )
     if e.restricted.rank >= 2:

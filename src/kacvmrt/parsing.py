@@ -8,19 +8,21 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .affine import MarkedKacDiagram
+from .affine import MarkedKacDiagram, affine_diagram
 from .atlas import MAX_RANK
 from .diagrams import (
     DynkinDiagram,
     Edge,
     UnrecognizedDiagram,
+    _cartan_type,
     _edge,
     _mark_key,
     classify,
     find_marked_isomorphism,
     marked,
 )
-from .render import _EDGE_TOKEN, Diagram, ParseError
+from .recognition import affine_candidates, recognize_affine
+from .render import _EDGE_TOKEN, Diagram, ParseError, _affine_canonical, _affine_template
 
 # The rendered bonds plus the arrowless double and triple bonds, which are
 # read only to be rejected with their offset; longest tokens are tried first.
@@ -143,8 +145,43 @@ class _Parser:
             raise self.error("unexpected trailing input")
 
 
+# Deletes the bond, bracket and cycle characters of a text, leaving its
+# node letters in text order.
+_DROP_BONDS = str.maketrans("", "", "-=<>#()@")
+
+
+def _read_kac_text(s: str) -> Optional[MarkedKacDiagram]:
+    """s read through the writer's per-type template if it is the canonical
+    text of a marked Kac diagram, else None.
+
+    Slot i of a template holds node i of the tokeniser, so the least of the
+    template's image tuples is the isomorphism onto the catalogue diagram
+    whose images, read in node order, are least: what `recognize_affine`
+    gives.  The candidates come in its order, and the first template that
+    the node letters fill back into s decides; a filling that is not the
+    least text is left to the tokeniser."""
+    letters = s.translate(_DROP_BONDS)
+    k = len(letters)
+    if k > MAX_RANK + 1 or letters.count("o") + letters.count("O") != k:
+        return None
+    for f, n, twist in affine_candidates(k - 1):
+        base = _cartan_type(f, n)
+        text, images = _affine_template(base, twist)
+        # Each of the k "%s" slots takes one letter: compare lengths first.
+        if len(text) - k == len(s) and text % tuple(letters) == s:
+            least = min(images)
+            a = affine_diagram(base, twist)
+            m = MarkedKacDiagram(a, [least[i] for i, c in enumerate(letters) if c == "O"])
+            return m if _affine_canonical(a, dict.fromkeys(m.white, "O")) == s else None
+    return None
+
+
 def read(s: str) -> Diagram:
     """Parse s; `render.parse`, which calls this, documents the contract."""
+    if "O" in s:
+        m = _read_kac_text(s)
+        if m is not None:
+            return m
     p = _Parser(s)
     p.parse()
     d = DynkinDiagram(tuple(p.nodes), frozenset(p.edges))
@@ -176,8 +213,6 @@ def read(s: str) -> Diagram:
         raise ParseError(f"an affine diagram has at most MAX_RANK + 1 = {MAX_RANK + 1} nodes", len(s))
     if len(d.components()) != 1:
         raise ParseError("an affine diagram is connected", len(s))
-    from .recognition import recognize_affine
-
     hit = recognize_affine(d)
     if hit is None:
         raise ParseError("not a recognised finite or affine diagram", len(s))

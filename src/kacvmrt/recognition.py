@@ -101,6 +101,15 @@ def _node_zero_key(family: str, rank: int, twist: int) -> Optional[tuple]:
     return _key(t, tuple(sorted([(e.other(0),) + _edge_signature(e, 0) for e in edges if 0 in (e.a, e.b)])))
 
 
+def affine_candidates(r: int) -> List[Tuple[str, int, int]]:
+    """The affine types of r + 1 nodes as (family, rank, twist), in the
+    order that names coinciding shapes: the first one listed wins."""
+    order = [(f, r, 1) for f in "ABCDEFG"] + [
+        ("A", 2 * r, 2), ("A", 2 * r - 1, 2), ("D", r + 1, 2), ("E", 6, 2), ("D", 4, 3)]
+    return [(f, n, twist) for f, n, twist in order
+            if affine_node_count(f, n, twist) == r + 1 and _node_zero_key(f, n, twist) is not None]
+
+
 def recognize_affine(d: DynkinDiagram) -> Optional[Tuple[AffineDiagram, Dict[int, int]]]:
     """The catalogue diagram a connected multigraph is, and the isomorphism
     onto it whose images, read in node order, are least; None if it is no
@@ -112,15 +121,14 @@ def recognize_affine(d: DynkinDiagram) -> Optional[Tuple[AffineDiagram, Dict[int
     leaves = [v for v in d.nodes if len(adj[v]) == 1]
     if r < 1 or len(leaves) > 4:  # no affine tree has more than four leaves
         return None
-    candidates = [(f, r, 1) for f in "ABCDEFG"] + [
-        ("A", 2 * r, 2), ("A", 2 * r - 1, 2), ("D", r + 1, 2), ("E", 6, 2), ("D", 4, 3)]
+    candidates = affine_candidates(r)
     for x in leaves or d.nodes[:1]:
         try:
             key, src = _delete(d, adj, x)
         except UnrecognizedDiagram:
             continue
         for f, n, twist in candidates:
-            if affine_node_count(f, n, twist) != r + 1 or _node_zero_key(f, n, twist) != key:
+            if _node_zero_key(f, n, twist) != key:
                 continue
             a = affine_diagram(CartanType(f, n), twist)
             auts, zero = _shape(a.base, twist)

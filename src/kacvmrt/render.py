@@ -23,6 +23,7 @@ and JSON emitters are presentation-only and never parsed back.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .affine import AffineDiagram, MarkedKacDiagram, affine_diagram
@@ -373,6 +374,10 @@ def to_latex(d: Diagram) -> str:
     return "\n".join(out)
 
 
+# The field order of Edge, as a C-level sort key.
+_EDGE_ORDER = attrgetter("a", "b", "mult", "short")
+
+
 def to_dot(d: Diagram) -> str:
     a, md, marks = _kind_of(d)
     g = md.diagram if a is None else a
@@ -383,7 +388,7 @@ def to_dot(d: Diagram) -> str:
         extra = "" if a is None else f" a={a.labels[v]}"
         label = f"{v}{extra}" + (f" {tok}" if tok != "o" else "")
         lines.append(f'  n{v} [shape=circle, style={style}, label="{label}"];')
-    for e in sorted(g.edges):
+    for e in sorted(g.edges, key=_EDGE_ORDER):
         attrs = [f"label=\"{e.mult}\""] if e.mult > 1 else []
         if e.short is not None:
             attrs.append(f"comment=\"short end n{e.short}\"")
@@ -437,7 +442,7 @@ def to_json(d: Diagram) -> str:
 
 def _edges_json(edges) -> List[Dict[str, object]]:
     out = []
-    for e in sorted(edges):
+    for e in sorted(edges, key=_EDGE_ORDER):
         rec: Dict[str, object] = {"from": e.a, "to": e.b, "mult": e.mult}
         if e.short is not None:
             rec["short_end"] = e.short

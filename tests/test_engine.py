@@ -142,23 +142,34 @@ class TestVMRT:
 
     def test_vmrt_recognises_each_z_diagram_once(self, monkeypatch):
         # dim Z and the name share one classification of the Z diagram; a
-        # sigma-paired Z works on its halves instead.
+        # sigma-paired Z reuses the classification of the diagram both
+        # halves mark, and no half is recognised again.
         recognised, made = [], []
-        real_classify, real_z = diagrams.classify, engine.z_orbit_diagram
+        real_classify, real_z = diagrams.classify, engine._z_orbit
 
         def classify(d):
             recognised.append(d)
             return real_classify(d)
 
+        def z_orbit(*args):
+            out = real_z(*args)
+            made.append(out[0])
+            return out
+
         monkeypatch.setattr(diagrams, "classify", classify)
         monkeypatch.setattr(engine, "classify", classify)
-        monkeypatch.setattr(engine, "z_orbit_diagram", lambda *a: made.append(real_z(*a)) or made[-1])
+        monkeypatch.setattr(engine, "_z_orbit", z_orbit)
         for e in enumerate_entries(8):
             recognised.clear()
             vmrt(e)
             for z in made.pop():
                 if z.sigma_pairs is None:
                     assert sum(d is z.diagram for d in recognised) == 1, e.name
+                elif z.diagram.nodes:
+                    left = z.sigma_left_nodes()
+                    seen = [frozenset(d.nodes) for d in recognised]
+                    assert seen.count(left) == 1, e.name
+                    assert seen.count(frozenset(z.diagram.nodes) - left) == 0, e.name
 
 
 class TestFolding:

@@ -18,9 +18,15 @@ diagrams: under moving the white nodes by an automorphism), and parsing it
 back must give it again.  Affine canonical text joins node tokens into a
 per-type template for the automorphisms giving the least first token; the
 oracle renders the diagram under every automorphism and keeps the least.
+`parse` reads a canonical Kac text back through the same template; the
+oracle tokenises the text and recognises the graph with
+`recognize_affine`, which must give the very same diagram and white set.
+A grammar fuzz holds `parse` to its contract: a `ParseError` with an
+offset inside the string, or a text that round-trips idempotently.
 """
 
 import itertools
+import re
 
 import pytest
 
@@ -42,8 +48,10 @@ from kacvmrt.diagrams import (  # noqa: E402
     parabolic_dimension,
     standard_diagram,
 )
-from kacvmrt.recognition import affine_automorphisms  # noqa: E402
+from kacvmrt.parsing import _Parser, _read_kac_text  # noqa: E402
+from kacvmrt.recognition import affine_automorphisms, affine_candidates, recognize_affine  # noqa: E402
 from kacvmrt.render import (  # noqa: E402
+    ParseError,
     _affine_spine,
     _chain_spine,
     _cycle_order,
@@ -507,3 +515,125 @@ def test_canonical_text_of_sigma_paired_diagrams(half, copies, data):
     m = marked(DynkinDiagram(tuple(nodes), frozenset(edges)), crossed, ann, pairs)
     ids = data.draw(st.permutations(range(5000, 5000 + 2 * copies * k)))
     _assert_canonical(m, _relabel_marked(m, dict(zip(nodes, ids))))
+
+
+# ---------------------------------------------------------------------------
+# Reading Kac texts through the templates, and the grammar fuzz
+
+
+def _tokenised(text):
+    """The Kac diagram that the tokeniser and `recognize_affine` read from
+    text, or None if the graph is no affine diagram."""
+    p = _Parser(text)
+    p.parse()
+    hit = recognize_affine(DynkinDiagram(tuple(p.nodes), frozenset(p.edges)))
+    if hit is None:
+        return None
+    a, iso = hit
+    return MarkedKacDiagram(a, [iso[w] for w in p.white])
+
+
+def _assert_template_read(text):
+    m = _read_kac_text(text)
+    assert m is not None, text
+    assert m == parse(text) == _tokenised(text), text
+
+
+@pytest.mark.parametrize("shape", _shapes_up_to(12), ids=lambda s: f"{s[0]}^({s[1]})")
+def test_template_reader_matches_recognition(shape):
+    # Every set of one or two white nodes.
+    a = affine_diagram(*shape)
+    for k in (1, 2):
+        for white in itertools.combinations(a.nodes, k):
+            _assert_template_read(_kac_text(a, white))
+
+
+@SETTINGS
+@given(st.sampled_from(_shapes_up_to(30)), st.data())
+def test_template_reader_matches_recognition_to_rank_30(shape, data):
+    a = affine_diagram(*shape)
+    _assert_template_read(_kac_text(a, data.draw(st.sets(st.sampled_from(a.nodes), min_size=1))))
+
+
+_BOND_TOKENS = re.compile(r"<####|####>|####|=>|<=|#>|<#|-|[oO]")
+_REVERSED = {"=>": "<=", "<=": "=>", "#>": "<#", "<#": "#>", "####>": "<####", "<####": "####>"}
+
+
+def _reversed_chain(text):
+    """A chain without branches written from its other end."""
+    return "".join([_REVERSED.get(t, t) for t in _BOND_TOKENS.findall(text)[::-1]])
+
+
+@pytest.mark.parametrize("text, writing", [
+    ("@O-o-o-o-o", "@o-o-O-o-o"),       # a cycle started at another node
+    ("@O-O-o-o", "@o-O-O-o"),
+    ("O=>o-o=>o", None),                # A_6^(2): the bonds change direction
+    ("O<=o-o-o=>o", None),              # D_5^(2): the bonds read the same
+    ("O=>o-o-o<=o", None),              # C_4^(1)
+    ("O-o#>o", None),                   # G_2^(1)
+    ("O####>o", None),
+])
+def test_non_canonical_writings_miss_the_templates(text, writing):
+    writing = _reversed_chain(text) if writing is None else writing
+    assert writing != text
+    assert _read_kac_text(writing) is None
+    assert parse(writing) == _tokenised(writing)
+    assert to_canonical_text(parse(writing)) == text
+
+
+def test_candidates_are_catalogue_types():
+    # Two nodes would also name A_1^(2) and D_2^(2), which do not exist.
+    assert affine_candidates(1) == [("A", 1, 1), ("A", 2, 2)]
+    assert affine_candidates(0) == []
+
+
+@pytest.mark.parametrize("text", ["O-o", "O=>o", "O<####o", "O<#o"])
+def test_two_node_texts_read_as_the_tokeniser_reads_them(text):
+    want = _tokenised(text)
+    if want is None:
+        with pytest.raises(ParseError, match="not a recognised"):
+            parse(text)
+    else:
+        assert parse(text) == want
+
+
+# Tokens of the README grammar, weighted towards the valid ones; the
+# arrowless "=" and "#" and annotations below 2 are kept rare.
+_NODE = st.sampled_from(["o"] * 3 + ["x"] * 2 + ["O", "x[2]", "x[3]", "x[1]", "x[]"])
+_BOND = st.sampled_from(["-"] * 5 + ["=>", "<=", "#>", "<#", "####>", "<####", "####", "=", "#"])
+
+
+def _chain(branch):
+    """node branch (bond node branch)*"""
+    step = st.tuples(_NODE, branch).map("".join)
+    return st.tuples(step, st.lists(st.tuples(_BOND, step).map("".join), max_size=5).map("".join)).map("".join)
+
+
+_BRANCH = st.one_of(st.just(""), _chain(st.just("")).map(lambda c: f"({c})"))
+_COMPONENT = st.tuples(st.sampled_from(["", "", "@"]), _chain(_BRANCH)).map("".join)
+_TEXTS = st.tuples(st.lists(_COMPONENT, min_size=1, max_size=3).map(" + ".join),
+                   st.sampled_from(["", "", " ~sigma"])).map("".join)
+
+FUZZ = settings(max_examples=300, deadline=1000, database=None, derandomize=True)
+
+
+def _assert_total(s):
+    try:
+        d = parse(s)
+    except ParseError as ex:
+        assert 0 <= ex.position <= len(s), s
+        return
+    text = to_canonical_text(d)
+    assert to_canonical_text(parse(text)) == text, s
+
+
+@FUZZ
+@given(_TEXTS)
+def test_parse_is_total_on_the_grammar(s):
+    _assert_total(s)
+
+
+@FUZZ
+@given(st.text(alphabet="oO-=<>#()@", max_size=40))
+def test_parse_is_total_on_raw_strings(s):
+    _assert_total(s)

@@ -266,6 +266,15 @@ def test_affine_recognition_from_every_deletion_node(shape):
                      None if e.short is None else iso[e.short]) for e in d.edges} == set(got.edges)
 
 
+@pytest.mark.parametrize("shape", sorted(_READ_AS), ids=lambda s: f"{s[0]}^({s[1]})")
+def test_canonical_kac_texts_of_coinciding_shapes_read_as_the_first_name(shape):
+    # The reader tries the same candidates in the same order as recognition.
+    a = affine_diagram(*shape)
+    for w in a.nodes:
+        got = parse(to_canonical_text(MarkedKacDiagram(a, [w]))).diagram
+        assert (got.base, got.twist) == _READ_AS[shape]
+
+
 def test_sigma_halves_of_several_components_round_trip():
     # Each half is o-x + x.  The text writes one half, then the other.
     ids = [(10, 11, 12), (20, 21, 22)]

@@ -69,14 +69,15 @@ def test_run_all_computes_each_entry_once(monkeypatch):
 
 
 def test_vmrt_computes_z_once(monkeypatch):
+    # vmrt and z_orbit_diagram both build Z through engine._z_orbit.
     z_calls = []
-    real_z = engine.z_orbit_diagram
+    real_z = engine._z_orbit
 
-    def z_orbit_diagram(m, kind):
+    def z_orbit(m, kind):
         z_calls.append(kind)
         return real_z(m, kind)
 
-    monkeypatch.setattr(engine, "z_orbit_diagram", z_orbit_diagram)
+    monkeypatch.setattr(engine, "_z_orbit", z_orbit)
     (row,) = check_dimension_formula(12)
     assert row.status == "PASS"
     assert len(z_calls) == int(row.name.split()[0])  # one Z per entry
@@ -104,7 +105,7 @@ def test_run_all_computes_one_vmrt_per_entry(monkeypatch, max_rank):
     # they name from the pass; those above max_rank they compute once.  The
     # contact gradations read Z from the pass's VMRTs.
     names, z_calls = [], []
-    real_vmrt, real_z = engine.vmrt, engine.z_orbit_diagram
+    real_vmrt, real_z = engine.vmrt, engine._z_orbit
 
     def vmrt(e):
         names.append(e.name)
@@ -112,7 +113,7 @@ def test_run_all_computes_one_vmrt_per_entry(monkeypatch, max_rank):
 
     monkeypatch.setattr(verify, "vmrt", vmrt)
     monkeypatch.setattr(engine, "vmrt", vmrt)
-    monkeypatch.setattr(engine, "z_orbit_diagram", lambda *a: z_calls.append(a) or real_z(*a))
+    monkeypatch.setattr(engine, "_z_orbit", lambda *a: z_calls.append(a) or real_z(*a))
     run_all(max_rank)
     assert len(names) == len(set(names))
     assert len(z_calls) == len(names)  # one Z per distinct entry
