@@ -14,8 +14,8 @@ from typing import List, Optional
 
 from . import __version__
 from .atlas import MAX_RANK, enumerate_entries, lookup
-from .diagrams import MarkedDynkinDiagram, classify, parabolic_dimension
-from .engine import FOLDING_PAIRS, fold, identify, vmrt, z_dimension, z_orbit_diagram
+from .diagrams import MarkedDynkinDiagram, parabolic_dimension
+from .engine import FOLDING_PAIRS, _z_orbit, fold, vmrt
 from .render import FORMATS, parse, render, to_canonical_text
 
 
@@ -143,13 +143,11 @@ def _dispatch(args) -> int:
 
     if args.command == "zorbit":
         e = lookup(args.label, _params(args))
-        zs = z_orbit_diagram(e.kac_diagram(), e.kind)
-        # Every Z marks one diagram: recognise it once, as vmrt does.
-        classes = None if zs[0].sigma_pairs is not None else classify(zs[0].diagram)
+        zs, zdim, name = _z_orbit(e.kac_diagram(), e.kind)
         for z in zs:
             print(render(z, args.format))
-        print(f"dim {z_dimension(zs[0], classes)}")
-        print(" u ".join(identify(z, classes) for z in zs))
+        print(f"dim {zdim}")
+        print(name)
         return 0
 
     if args.command == "vmrt":

@@ -64,12 +64,9 @@ def z_orbit_diagram(m: MarkedKacDiagram, kind: str) -> Tuple[MarkedDynkinDiagram
     return _z_orbit(m, kind)[0]
 
 
-def _z_orbit(m: MarkedKacDiagram,
-             kind: str) -> Tuple[Tuple[MarkedDynkinDiagram, ...], Optional[Tuple[Classes, Classes]]]:
-    """z_orbit_diagram's result and, for a sigma-paired Z, the classes of
-    its left and right halves (the classes of the diagram both halves
-    mark, and the same shifted onto the right half's ids, which keeps
-    classify's node-order tie-breaks); None for the other kinds."""
+def _z_orbit(m: MarkedKacDiagram, kind: str) -> Tuple[Tuple[MarkedDynkinDiagram, ...], int, str]:
+    """z_orbit_diagram's result, dim Z and the name of Z, all read off one
+    classification of the diagram that every half of Z marks."""
     if not validate_kac_marking(m, kind):
         raise ValueError(
             f"marking violates the {kind} white-node rule "
@@ -79,17 +76,19 @@ def _z_orbit(m: MarkedKacDiagram,
     adj = m.diagram.adjacency()
     finite = m.diagram.finite_part(tuple(whites))
     halves = [_orbit_half(adj[w], m.white, finite) for w in whites]
-    if kind in ("group", "simple"):
-        return (halves[0],), None
-    if kind == "hermitian-exceptional":
-        return tuple(halves), None
+    classes = classify(finite)
+    dims = {parabolic_dimension(finite, h.crossed, classes) for h in halves}
+    if len(dims) != 1:
+        raise AssertionError("orbit halves have different dimensions")
+    zdim = dims.pop()
+    name = " u ".join([_name(h, classes) for h in halves])
+    if kind in ("group", "simple", "hermitian-exceptional"):
+        return tuple(halves), zdim, name
 
     # Non-exceptional: one sigma-paired diagram out of two disjoint copies.
-    # Both halves mark the one diagram `finite`, classified once.
-    h0, h1 = halves
     if not finite.nodes:
-        return (marked(DynkinDiagram(()), sigma_pairs=()),), ((), ())
-    classes = classify(finite)
+        return (marked(DynkinDiagram(()), sigma_pairs=()),), zdim, "P^0"
+    h0, h1 = halves
     iso = find_marked_isomorphism(h0, h1, classes, classes)
     if iso is None:
         raise AssertionError("non-exceptional halves are not isomorphic")
@@ -97,18 +96,16 @@ def _z_orbit(m: MarkedKacDiagram,
     h1s = _shift_marked(h1, offset)
     union = DynkinDiagram(finite.nodes + h1s.diagram.nodes, finite.edges | h1s.diagram.edges)
     pairs = tuple(sorted([(v, iso[v] + offset) for v in finite.nodes]))
-    shifted = tuple([(t, {v + offset: i for v, i in mapping.items()}) for t, mapping in classes])
     z = marked(union, h0.crossed | h1s.crossed, h0.annotations + h1s.annotations, pairs)
-    return (z,), (classes, shifted)
+    return (z,), zdim, name
 
 
-def z_dimension(z: MarkedDynkinDiagram, classes: Optional[Classes] = None) -> int:
-    """dim Z: positive roots over the crossed nodes, one sigma half only;
-    classes, if given, is classify(z.diagram); a sigma-paired Z ignores it."""
+def z_dimension(z: MarkedDynkinDiagram) -> int:
+    """dim Z: positive roots over the crossed nodes, one sigma half only."""
     if z.sigma_pairs is not None:
         left = z.sigma_left_nodes()
         return parabolic_dimension(z.diagram.restrict(left), z.crossed & left)
-    return parabolic_dimension(z.diagram, z.crossed, classes)
+    return parabolic_dimension(z.diagram, z.crossed)
 
 
 # ---------------------------------------------------------------------------
@@ -154,26 +151,23 @@ def _component_name(t: CartanType, crossed: Tuple[int, ...], ann: Dict[int, int]
     return name
 
 
-def identify(v: MarkedDynkinDiagram, classes: Optional[Classes] = None) -> str:
+def identify(v: MarkedDynkinDiagram) -> str:
     """Human-readable name: Gr/OG/LG/IG/Q/P/Veronese patterns with a total
-    fallback; sigma-paired diagrams name their two halves.  classes as in
-    z_dimension."""
-    if not v.diagram.nodes:
-        return "P^0"
-    if v.sigma_pairs is not None:
+    fallback; sigma-paired diagrams name their two halves."""
+    if v.sigma_pairs is not None and v.diagram.nodes:
         return " u ".join(identify(h) for h in v.sigma_halves())
-    return _name(v, classify(v.diagram) if classes is None else classes)
+    return _name(v, classify(v.diagram))
 
 
 def _name(v: MarkedDynkinDiagram, classes: Classes) -> str:
-    """The name of the components of v that classes lists."""
+    """The name of the components of v that classes lists; P^0 if none."""
     names: List[Tuple[int, str]] = []
     for t, mapping in classes:
         crossed = tuple(sorted(mapping[x] for x in v.crossed if x in mapping))
         ann = {mapping[k]: d for k, d in v.annotations if k in mapping}
         names.append((t.rank, _component_name(t, crossed, ann)))
     names.sort(key=lambda p: (-p[0], p[1]))
-    return " x ".join(n for _, n in names)
+    return " x ".join(n for _, n in names) or "P^0"
 
 
 # ---------------------------------------------------------------------------
@@ -222,23 +216,7 @@ def _type_a_table(e: SymmetricSpaceEntry) -> Tuple[MarkedDynkinDiagram, str]:
 def vmrt(e: SymmetricSpaceEntry) -> VMRTDescription:
     """The variety of minimal rational tangents of the wonderful
     compactification of e, as marked diagram(s) plus dimension and name."""
-    kac = e.kac_diagram()
-    zs, halves = _z_orbit(kac, e.kind)
-    if halves is None:
-        # Every Z marks the one diagram _z_orbit builds: recognise it once.
-        classes = classify(zs[0].diagram)
-        zdims = {z_dimension(z, classes) for z in zs}
-        if len(zdims) != 1:
-            raise AssertionError("orbit halves have different dimensions")
-        zdim = zdims.pop()
-        ident = " u ".join(identify(z, classes) for z in zs)
-    else:
-        # One sigma-paired Z: dim Z and the names read its halves' classes,
-        # as z_dimension and identify would after restricting to each half.
-        (z,) = zs
-        zdim = parabolic_dimension(z.diagram, z.crossed, halves[0])
-        ident = " u ".join(_name(z, c) for c in halves) if z.diagram.nodes else "P^0"
-
+    zs, zdim, ident = _z_orbit(e.kac_diagram(), e.kind)
     if not e.restricted.is_type_a:
         return VMRTDescription(
             kind="legendrian-Z",

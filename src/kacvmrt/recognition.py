@@ -16,6 +16,7 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .affine import AffineDiagram, _twisted_shape, _untwisted_edges, affine_diagram, affine_node_count
+from .atlas import MAX_RANK
 from .diagrams import DynkinDiagram, Edge, UnrecognizedDiagram, _edge_signature, classify, diagram_automorphisms
 from .roots import CartanType
 
@@ -101,13 +102,14 @@ def _node_zero_key(family: str, rank: int, twist: int) -> Optional[tuple]:
     return _key(t, tuple(sorted([(e.other(0),) + _edge_signature(e, 0) for e in edges if 0 in (e.a, e.b)])))
 
 
-def affine_candidates(r: int) -> List[Tuple[str, int, int]]:
+@lru_cache(maxsize=MAX_RANK + 1)
+def affine_candidates(r: int) -> Tuple[Tuple[str, int, int], ...]:
     """The affine types of r + 1 nodes as (family, rank, twist), in the
     order that names coinciding shapes: the first one listed wins."""
     order = [(f, r, 1) for f in "ABCDEFG"] + [
         ("A", 2 * r, 2), ("A", 2 * r - 1, 2), ("D", r + 1, 2), ("E", 6, 2), ("D", 4, 3)]
-    return [(f, n, twist) for f, n, twist in order
-            if affine_node_count(f, n, twist) == r + 1 and _node_zero_key(f, n, twist) is not None]
+    return tuple([(f, n, twist) for f, n, twist in order
+                  if affine_node_count(f, n, twist) == r + 1 and _node_zero_key(f, n, twist) is not None])
 
 
 def recognize_affine(d: DynkinDiagram) -> Optional[Tuple[AffineDiagram, Dict[int, int]]]:

@@ -27,7 +27,8 @@ from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .affine import AffineDiagram, MarkedKacDiagram, affine_diagram
-from .diagrams import DynkinDiagram, Edge, MarkedDynkinDiagram, _edge_signature, classify, diagram_automorphisms
+from .diagrams import (DynkinDiagram, Edge, MarkedDynkinDiagram, _chain_from, _edge_signature, classify,
+                       diagram_automorphisms, standard_diagram)
 from .roots import CartanType
 
 Diagram = Union[MarkedDynkinDiagram, MarkedKacDiagram, AffineDiagram, DynkinDiagram]
@@ -49,70 +50,50 @@ def _chain_spine(nodes: Sequence[int]) -> Spine:
     return [(v, []) for v in nodes]
 
 
+def _tree_spine(adj: Dict[int, Dict[int, Edge]], start: int) -> Spine:
+    """The path from start to its farthest leaf (the greatest node of a
+    tie), with every other node hung off the path as a chain; a node's
+    branches come in node order."""
+    parent: Dict[int, Optional[int]] = {start: None}
+    depth = {start: 0}
+    reached = [start]
+    for u in reached:  # breadth first
+        for w in adj[u]:
+            if w not in parent:
+                parent[w], depth[w] = u, depth[u] + 1
+                reached.append(w)
+    path = [max(reached, key=lambda v: (depth[v], v))]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    on_path = set(path)
+    return [(v, [_chain_from(adj, v, w) for w in sorted(adj[v]) if w not in on_path]) for v in path]
+
+
+@lru_cache(maxsize=None)
+def _bourbaki_spine(t: CartanType) -> Spine:
+    return _tree_spine(standard_diagram(t).adjacency(), 1)
+
+
 def _finite_spine(t: CartanType, inv: Dict[int, int]) -> Spine:
-    """Spine of the Bourbaki template with node ids inv[bourbaki index]."""
-    n = t.rank
-    if t.family == "D":
-        spine = _chain_spine([inv[i] for i in range(1, n - 1)])
-        v, br = spine[-1]
-        spine[-1] = (v, br + [[inv[n - 1]]])
-        spine.append((inv[n], []))
-        return spine
-    if t.family == "E":
-        order = [1, 3, 4] + list(range(5, n + 1))
-        spine = _chain_spine([inv[i] for i in order])
-        v, br = spine[2]
-        spine[2] = (v, [[inv[2]]])
-        return spine
-    return _chain_spine([inv[i] for i in range(1, n + 1)])
+    """The spine of t's Bourbaki diagram from node 1, with node ids
+    inv[bourbaki index]."""
+    return [(inv[i], [[inv[j] for j in br] for br in brs] if brs else [])
+            for i, brs in _bourbaki_spine(t)]
 
 
-def _affine_spine(a: AffineDiagram) -> Optional[Spine]:
-    """Spine for affine diagrams; None for the cyclic untwisted A_n, n >= 2."""
-    f, n, tw = a.base.family, a.base.rank, a.twist
-    l = a.num_nodes - 1
-    if tw == 1:
-        if f == "A":
-            return _chain_spine([0, 1]) if n == 1 else None
-        if f == "B":
-            if n == 2:  # 0 => 2 <= 1, a chain
-                return _chain_spine([0, 2, 1])
-            spine = [(0, []), (2, [[1]])] + _chain_spine(range(3, n + 1))
-            return spine
-        if f == "C" or f == "F" or f == "G":
-            if f == "G":
-                return _chain_spine([0, 2, 1])
-            return _chain_spine(range(0, n + 1))
-        if f == "D":
-            if n == 3:
-                return None  # 4-cycle, same shape as affine A_3
-            spine: Spine = [(0, []), (2, [[1]])]
-            if n == 4:
-                spine[1] = (2, [[1], [3]])
-                spine.append((4, []))
-                return spine
-            spine += _chain_spine(range(3, n - 2))
-            spine.append((n - 2, [[n - 1]]))
-            spine.append((n, []))
-            return spine
-        if f == "E":
-            if n == 6:
-                return [(1, []), (3, []), (4, [[2, 0]]), (5, []), (6, [])]
-            if n == 7:
-                return [(0, []), (1, []), (3, []), (4, [[2]]), (5, []), (6, []), (7, [])]
-            return [(1, []), (3, []), (4, [[2]]), (5, []), (6, []), (7, []), (8, []), (0, [])]
-    if tw == 3:
-        return _chain_spine([0, 1, 2])
-    # twist 2
-    if f == "A" and n in (2, 3):
-        return _chain_spine(range(0, l + 1))
-    if f == "A" and n % 2 == 0:
-        return _chain_spine(range(0, l + 1))
-    if f == "A":
-        return [(0, []), (2, [[1]])] + _chain_spine(range(3, l + 1))
-    if f == "D":
-        return _chain_spine(range(0, l + 1))
-    return _chain_spine([1, 2, 3, 4, 0])  # E_6^(2)
+# The affine types whose spine starts at node 1; the others start at node 0.
+_STARTS_AT_ONE = {("E", 6, 1), ("E", 8, 1), ("E", 6, 2)}
+
+
+@lru_cache(maxsize=None)
+def _affine_spine(base: CartanType, twist: int) -> Optional[Spine]:
+    """The spine of base^(twist); None for a cycle (untwisted A_n, n >= 2,
+    and D_3)."""
+    a = affine_diagram(base, twist)
+    if len(a.edges) == len(a.nodes):
+        return None
+    return _tree_spine(a.adjacency(), 1 if (base.family, base.rank, twist) in _STARTS_AT_ONE else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +201,7 @@ def _affine_template(base: CartanType, twist: int) -> Tuple[str, Tuple[Tuple[int
 
     a = affine_diagram(base, twist)
     adj = a.adjacency()
-    spine = _affine_spine(a)
+    spine = _affine_spine(base, twist)
     nodes, text = _spine_template(_chain_spine(_cycle_order(adj)) if spine is None else spine, _edge_lookup(adj))
     return ("@" if spine is None else "") + text, tuple([tuple([aut[v] for v in nodes])
                                                          for aut in affine_automorphisms(a)])
@@ -269,7 +250,7 @@ def _layout(d: Diagram) -> List[str]:
     """Rows of ASCII art, spine on the base row and branches stacked above."""
     a, md, marks = _kind_of(d)
     if a is not None:
-        spine = _affine_spine(a)
+        spine = _affine_spine(a.base, a.twist)
         adj = a.adjacency()
         edge_of = _edge_lookup(adj)
         if spine is None:  # cycle: apex row + base chain
@@ -345,6 +326,9 @@ def to_latex(d: Diagram) -> str:
     out = [f"\\begin{{picture}}({width * 0.5:.1f},{height:d})(0,0)"]
     for rn, row in enumerate(rows):
         y = height - 1 - rn
+        if row == "~sigma":  # the pairing marker, as text
+            out.append(f"\\put(0.0,{y}){{$\\sim\\sigma$}}")
+            continue
         col = 0
         while col < len(row):
             ch = row[col]

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .affine import affine_diagram, kac_labels, validate_kac_marking
 from .atlas import SymmetricSpaceEntry, enumerate_entries, lookup
-from .diagrams import MarkedDynkinDiagram, classify, find_marked_isomorphism, parabolic_dimension
+from .diagrams import MarkedDynkinDiagram, find_marked_isomorphism, parabolic_dimension
 from .engine import VMRTDescription, contact_grading_check, fold, fold_consistency, vmrt
 from .render import parse, to_canonical_text
 from .roots import CartanType, Record, positive_roots
@@ -272,13 +272,9 @@ def _orbit_structure_ok(kind: str, zs: Tuple[MarkedDynkinDiagram, ...]) -> bool:
     if kind in ("group", "simple"):
         return len(zs) == 1 and zs[0].sigma_pairs is None
     if kind == "hermitian-exceptional":
-        if len(zs) != 2:
-            return False
-        # The two Zs of vmrt mark one diagram: recognise it once.
-        shared = classify(zs[0].diagram) if zs[0].diagram is zs[1].diagram else None
-        return find_marked_isomorphism(*zs, shared, shared) is not None
-    return (len(zs) == 1 and zs[0].sigma_pairs is not None
-            and find_marked_isomorphism(*zs[0].sigma_halves()) is not None)
+        return len(zs) == 2 and find_marked_isomorphism(*zs) is not None
+    # A sigma pairing is checked to match the halves when the Z is built.
+    return len(zs) == 1 and zs[0].sigma_pairs is not None
 
 
 # The per-entry parts of five checks, in the order run_all reports them;

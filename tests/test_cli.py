@@ -68,21 +68,26 @@ def test_kac_and_zorbit(capsys):
 
 
 def test_zorbit_recognises_each_z_diagram_once(capsys, monkeypatch):
-    # dim Z and the name share one classification of the Z diagram, as in
-    # vmrt; a sigma-paired Z works on its halves instead.
+    # dim Z and the name come from `engine._z_orbit`, which zorbit calls as
+    # vmrt does: one classification of the diagram every Z marks.
     from kacvmrt import diagrams, engine
     from kacvmrt.atlas import enumerate_entries
 
     recognised, made = [], []
-    real_classify, real_z = diagrams.classify, cli.z_orbit_diagram
+    real_classify, real_z = diagrams.classify, cli._z_orbit
 
     def classify(d):
         recognised.append(d)
         return real_classify(d)
 
-    for module in (diagrams, engine, cli):
+    def z_orbit(*args):
+        out = real_z(*args)
+        made.append(out[0])
+        return out
+
+    for module in (diagrams, engine):
         monkeypatch.setattr(module, "classify", classify)
-    monkeypatch.setattr(cli, "z_orbit_diagram", lambda *a: made.append(real_z(*a)) or made[-1])
+    monkeypatch.setattr(cli, "_z_orbit", z_orbit)
     for e in enumerate_entries(8):
         recognised.clear()
         params = [a for k, v in e.params for a in (f"--{k}", str(v))]

@@ -466,7 +466,7 @@ def _affine_canonical_oracle(a, white):
     marks = {v: "O" for v in white}
     adj = a.adjacency()
     edge_of = _edge_lookup(adj)
-    spine = _affine_spine(a)
+    spine = _affine_spine(a.base, a.twist)
     auts = affine_automorphisms(a)
     if spine is None:
         cyc = _cycle_order(adj)
@@ -583,8 +583,8 @@ def test_non_canonical_writings_miss_the_templates(text, writing):
 
 def test_candidates_are_catalogue_types():
     # Two nodes would also name A_1^(2) and D_2^(2), which do not exist.
-    assert affine_candidates(1) == [("A", 1, 1), ("A", 2, 2)]
-    assert affine_candidates(0) == []
+    assert affine_candidates(1) == (("A", 1, 1), ("A", 2, 2))
+    assert affine_candidates(0) == ()
 
 
 @pytest.mark.parametrize("text", ["O-o", "O=>o", "O<####o", "O<#o"])
