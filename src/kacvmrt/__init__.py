@@ -45,8 +45,6 @@ from .roots import (
     Root,
     cartan_matrix,
     highest_root,
-    highest_short_root,
-    minus_w0,
     positive_roots,
 )
 
@@ -70,13 +68,11 @@ __all__ = [
     "fold_consistency",
     "graded_dimensions",
     "highest_root",
-    "highest_short_root",
     "identify",
     "kac_diagram",
     "kac_labels",
     "lookup",
     "marked",
-    "minus_w0",
     "parabolic_dimension",
     "parse",
     "positive_roots",

@@ -72,7 +72,7 @@ class SymmetricSpaceEntry(Record):
 
     @property
     def num_kac_nodes(self) -> int:
-        return self.kac_diagram().diagram.num_nodes
+        return affine_node_count(self.kac_base.family, self.kac_base.rank, self.kac_twist)
 
 
 NOTE_EIV = (
@@ -359,6 +359,17 @@ _NM_FAMILIES: Dict[str, Callable[[int, int], SymmetricSpaceEntry]] = {
     "herm-AIII": _herm_aiii,
 }
 
+# The m of each two-parameter family's rows at n: the value that
+# _NM_FAMILIES keeps of an m and its mirror, in the order in which
+# m = 1, 2, ... first reaches them.
+_KEPT_M: Dict[str, Callable[[int], Iterable[int]]] = {
+    "BI": lambda n: sorted(range(4, 2 * n - 1, 2), key=lambda m: min(m, 2 * n + 1 - m)),
+    "CII": lambda n: range(1, n // 2 + 1),
+    "DI-odd": lambda n: range(1, (n - 1) // 2 + 1),
+    "DI-even": lambda n: range(2, n // 2 + 1),
+    "herm-AIII": lambda n: range(1, n // 2 + 1),
+}
+
 ALL_LABELS: Tuple[str, ...] = tuple(
     list(_N_FAMILIES) + list(_NM_FAMILIES) + list(_FIXED_ROWS)
 )
@@ -424,15 +435,12 @@ def _family_instances(label: str, max_nodes: int) -> Iterable[SymmetricSpaceEntr
     build = _N_FAMILIES.get(label) or _NM_FAMILIES[label]
     n = 1
     while affine_node_count(*_KAC_SHAPES[label](n)) <= max_nodes:
-        args = [(n,)] if label in _N_FAMILIES else [(n, m) for m in range(1, 2 * n + 2)]
-        rows: Dict[Tuple[Tuple[str, int], ...], SymmetricSpaceEntry] = {}
-        for a in args:
+        for a in [(n,)] if label in _N_FAMILIES else [(n, m) for m in _KEPT_M[label](n)]:
             try:
                 e = build(*a)
-            except ValueError:
+            except ValueError:  # n below the family's least
                 continue
-            rows.setdefault(e.params, e)  # m and its mirror give one row
-        yield from rows.values()
+            yield e
         n += 1
 
 

@@ -190,27 +190,34 @@ class VMRTDescription(Record):
         self._set(kind, components, dimension, identification, z, z_dim, ambient_note)
 
 
-def _type_a_table(e: SymmetricSpaceEntry) -> Tuple[MarkedDynkinDiagram, str]:
-    """The pair (G, P_lambda) for restricted type A_r, r >= 2."""
+def _bourbaki(t: CartanType, first: int = 1) -> Tuple[CartanType, Dict[int, int]]:
+    """The class of standard_diagram(t) on the ids first, first + 1, ..."""
+    return t, {first + i: i + 1 for i in range(t.rank)}
+
+
+def _type_a_table(e: SymmetricSpaceEntry) -> Tuple[MarkedDynkinDiagram, Classes, str]:
+    """The pair (G, P_lambda) for restricted type A_r, r >= 2, and the
+    classes of its diagram, known from the Bourbaki types it is built of."""
     r = e.restricted.rank
     if e.label == "group-A":
-        copy1 = standard_diagram(CartanType("A", r))
-        copy2 = standard_diagram(CartanType("A", r), [r + i for i in range(1, r + 1)])
+        t = CartanType("A", r)
+        copy1 = standard_diagram(t)
+        copy2 = standard_diagram(t, [r + i for i in range(1, r + 1)])
         diagram = DynkinDiagram(copy1.nodes + copy2.nodes, copy1.edges | copy2.edges)
-        gp = marked(diagram, {1, 2 * r})
         note = f"(SL_{r + 1} x SL_{r + 1}, P_1 x P_{r}), lambda = (w_1,0)+(0,w_{r})"
-    elif e.label in ("AI", "AI-even"):
-        gp = standard_marked(CartanType("A", r), {1}, {1: 2})
+        return marked(diagram, {1, 2 * r}), (_bourbaki(t), _bourbaki(t, r + 1)), note
+    if e.label in ("AI", "AI-even"):
+        t, crossed, ann = CartanType("A", r), {1}, {1: 2}
         note = f"(SL_{r + 1}, P_1), lambda = 2w_1"
     elif e.label == "AII":
-        gp = standard_marked(CartanType("A", 2 * r + 1), {2})
+        t, crossed, ann = CartanType("A", 2 * r + 1), {2}, {}
         note = f"(SL_{2 * r + 2}, P_2), lambda = w_2"
     elif e.label == "EIV":
-        gp = standard_marked(CartanType("E", 6), {1})
+        t, crossed, ann = CartanType("E", 6), {1}, {}
         note = "(E_6, P_1), lambda = w_1"
     else:
         raise ValueError(f"no ambient pair known for restricted type A entry {e.name}")
-    return gp, note
+    return standard_marked(t, crossed, ann), (_bourbaki(t),), note
 
 
 def vmrt(e: SymmetricSpaceEntry) -> VMRTDescription:
@@ -226,12 +233,12 @@ def vmrt(e: SymmetricSpaceEntry) -> VMRTDescription:
             z=zs, z_dim=zdim,
         )
     if e.restricted.rank >= 2:
-        gp, note = _type_a_table(e)
+        gp, classes, note = _type_a_table(e)
         return VMRTDescription(
             kind="typeA-GPlambda",
             components=(gp,),
             dimension=zdim + 1,
-            identification=identify(gp),
+            identification=_name(gp, classes),
             z=zs, z_dim=zdim,
             ambient_note=note,
         )

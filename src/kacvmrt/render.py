@@ -382,24 +382,33 @@ def to_dot(d: Diagram) -> str:
     return "\n".join(lines)
 
 
-def to_json(d: Diagram) -> str:
-    """Stable JSON per the documented schema; byte-deterministic."""
+@lru_cache(maxsize=None)
+def _kac_json_template(base: CartanType, twist: int) -> Tuple[str, Tuple[int, ...]]:
+    """The JSON text of base^(twist) with a "%s" slot for each node's mark,
+    and the nodes in slot order: the rest of the text is the same for every
+    marking."""
     import json
 
+    a = affine_diagram(base, twist)
+    obj = {
+        "kind": "affine",
+        "base": {"family": base.family, "rank": base.rank},
+        "twist": twist,
+        "nodes": [{"id": v, "mark": "%s"} for v in a.nodes],
+        "edges": _edges_json(a.edges),
+        "labels": list(a.labels),
+    }
+    return json.dumps(obj), a.nodes
+
+
+def to_json(d: Diagram) -> str:
+    """Stable JSON per the documented schema; byte-deterministic."""
     a, md, marks = _kind_of(d)
     if a is not None:
-        obj = {
-            "kind": "affine",
-            "base": {"family": a.base.family, "rank": a.base.rank},
-            "twist": a.twist,
-            "nodes": [
-                {"id": v, "mark": "white" if v in marks else "black"}
-                for v in a.nodes
-            ],
-            "edges": _edges_json(a.edges),
-            "labels": list(a.labels),
-        }
-        return json.dumps(obj)
+        text, nodes = _kac_json_template(a.base, a.twist)
+        return text % tuple(["white" if v in marks else "black" for v in nodes])
+    import json
+
     comps = classify(md.diagram)
     base = None
     if len(comps) == 1:

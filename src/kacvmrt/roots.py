@@ -1,9 +1,9 @@
 """Finite root systems in Bourbaki numbering.
 
-Cartan matrices, positive-root enumeration by root strings, highest and
-highest-short roots, and the -w0 diagram automorphism.  Everything is
-exact integer arithmetic; all values are immutable and all functions are
-pure, with enumeration results cached per type.
+Cartan matrices, positive-root enumeration by root strings and the
+highest root.  Everything is exact integer arithmetic; all values are
+immutable and all functions are pure, with enumeration results cached
+per type.
 
 Conventions, frozen once for the whole package:
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import attrgetter, ge, gt, le, lt
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 FAMILIES = "ABCDEFG"
 
@@ -215,14 +215,6 @@ class Root(OrderedRecord):
     def height(self) -> int:
         return sum(self.coeffs)
 
-    @property
-    def is_positive(self) -> bool:
-        return self.height > 0
-
-    def support(self) -> Tuple[int, ...]:
-        """1-based indices of the nonzero coefficients."""
-        return tuple([i + 1 for i, c in enumerate(self.coeffs) if c != 0])
-
     def __neg__(self) -> "Root":
         return Root(tuple([-c for c in self.coeffs]))
 
@@ -272,25 +264,6 @@ def positive_roots(t: CartanType) -> Tuple[Root, ...]:
     return tuple([Root(c) for c in ordered])
 
 
-@lru_cache(maxsize=None)
-def _gram(t: CartanType) -> Tuple[Tuple[int, ...], ...]:
-    norms = simple_norms(t)
-    a = cartan_matrix(t)
-    n = t.rank
-    # (alpha_i, alpha_j) = a[i][j] * |alpha_j|^2 / 2, an integer throughout.
-    g = [[(a[i][j] * norms[j]) // 2 for j in range(n)] for i in range(n)]
-    for i in range(n):
-        g[i][i] = norms[i]
-    return tuple([tuple(row) for row in g])
-
-
-def root_norm(t: CartanType, r: Root) -> int:
-    """Squared length of r in the normalisation of simple_norms."""
-    g = _gram(t)
-    c = r.coeffs
-    return sum(c[i] * c[j] * g[i][j] for i in range(t.rank) for j in range(t.rank) if c[i] and c[j])
-
-
 _EXCEPTIONAL_HIGHEST = {
     ("E", 6): (1, 2, 2, 3, 2, 1),
     ("E", 7): (2, 2, 3, 4, 3, 2, 1),
@@ -313,26 +286,3 @@ def highest_root(t: CartanType) -> Root:
         return Root((1,) + (2,) * (n - 3) + (1, 1))
     return Root(_EXCEPTIONAL_HIGHEST[(f, n)])
 
-
-def highest_short_root(t: CartanType) -> Root:
-    """The maximal short root; equals highest_root for simply-laced types."""
-    short = min(simple_norms(t))
-    cands = [r for r in positive_roots(t) if root_norm(t, r) == short]
-    return cands[-1]
-
-
-def minus_w0(t: CartanType) -> Dict[int, int]:
-    """The diagram automorphism induced by -w0, as a node bijection.
-
-    Identity except A_n (reversal), D_odd (fork-tip swap) and E6.
-    """
-    n = t.rank
-    if t.family == "A":
-        return {i: n + 1 - i for i in range(1, n + 1)}
-    if t.family == "D" and n % 2 == 1:
-        perm = {i: i for i in range(1, n + 1)}
-        perm[n - 1], perm[n] = n, n - 1
-        return perm
-    if t.family == "E" and n == 6:
-        return {1: 6, 2: 2, 3: 5, 4: 4, 5: 3, 6: 1}
-    return {i: i for i in range(1, n + 1)}

@@ -2,6 +2,7 @@
 
 import pytest
 
+from kacvmrt import atlas
 from kacvmrt.affine import validate_kac_marking
 from kacvmrt.atlas import (
     _FIXED_ROWS,
@@ -143,6 +144,22 @@ def test_enumerate_rank_capped():
 def test_enumerate_node_count_bound():
     for e in enumerate_entries(6):
         assert e.num_kac_nodes <= 7
+        assert e.num_kac_nodes == e.kac_diagram().diagram.num_nodes, e.name
+
+
+@pytest.mark.parametrize("k", [14, 30])
+def test_enumerate_builds_each_row_once(k, monkeypatch):
+    # An m and its mirror give one row, and only that row is built.
+    built = []
+    real = atlas._entry
+
+    def entry(*args, **kwargs):
+        built.append(args[:2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(atlas, "_entry", entry)
+    entries = enumerate_entries(k)
+    assert len(built) == len(entries) == len(set(map(repr, built)))
 
 
 def test_every_entry_satisfies_marking_rule():

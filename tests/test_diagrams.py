@@ -20,6 +20,7 @@ from kacvmrt.diagrams import (
     standard_marked,
 )
 from kacvmrt.roots import CartanType, positive_roots
+from root_oracles import support
 
 ALL_TYPES = (
     [CartanType("A", n) for n in range(1, 9)]
@@ -99,7 +100,7 @@ def test_classify_revalidates_recognition(monkeypatch, lie):
 
 def _support_count(t, marked_idx):
     return sum(
-        1 for r in positive_roots(t) if any(i in marked_idx for i in r.support())
+        1 for r in positive_roots(t) if any(i in marked_idx for i in support(r))
     )
 
 

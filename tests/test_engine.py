@@ -171,6 +171,31 @@ class TestVMRT:
                     assert seen.count(left) == 1, e.name
                     assert seen.count(frozenset(z.diagram.nodes) - left) == 0, e.name
 
+    def test_ambient_pair_named_without_classifying_it(self, monkeypatch):
+        # The name of (G, P_lambda) comes from the Bourbaki types its
+        # diagram is built of; identify, which classifies it, agrees.
+        recognised = []
+        real_classify = diagrams.classify
+
+        def classify(d):
+            recognised.append(d)
+            return real_classify(d)
+
+        monkeypatch.setattr(diagrams, "classify", classify)
+        monkeypatch.setattr(engine, "classify", classify)
+        named = 0
+        for e in enumerate_entries(30):
+            recognised.clear()
+            v = vmrt(e)
+            if v.kind != "typeA-GPlambda":
+                continue
+            (gp,) = v.components
+            assert gp.diagram not in recognised, e.name
+            assert v.identification == identify(gp), e.name
+            named += 1
+        assert named == sum(e.restricted.is_type_a and e.restricted.rank >= 2
+                            for e in enumerate_entries(30))
+
 
 class TestFolding:
     def test_displayed_foldings(self):

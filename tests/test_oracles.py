@@ -23,9 +23,12 @@ oracle tokenises the text and recognises the graph with
 `recognize_affine`, which must give the very same diagram and white set.
 A grammar fuzz holds `parse` to its contract: a `ParseError` with an
 offset inside the string, or a text that round-trips idempotently.
+The JSON of a Kac diagram fills the marks into a per-type text; the
+oracle builds the whole object and `json.dumps` it.
 """
 
 import itertools
+import json
 import re
 
 import pytest
@@ -59,8 +62,10 @@ from kacvmrt.render import (  # noqa: E402
     _render_spine,
     parse,
     to_canonical_text,
+    to_json,
 )
 from kacvmrt.roots import CartanType, positive_roots  # noqa: E402
+from root_oracles import support  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None, derandomize=True)
 
@@ -115,7 +120,7 @@ def _root_count(d, crossed):
     total = 0
     for (t, mapping), comp in zip(classify(d), d.components()):
         idx = {mapping[v] for v in crossed if v in comp}
-        total += sum(1 for r in positive_roots(t) if any(i in idx for i in r.support()))
+        total += sum(1 for r in positive_roots(t) if any(i in idx for i in support(r)))
     return total
 
 
@@ -494,6 +499,34 @@ def test_affine_canonical_text_matches_every_automorphism_to_rank_30(shape, data
     a = affine_diagram(*shape)
     white = data.draw(st.sets(st.sampled_from(a.nodes), min_size=1))
     assert _kac_text(a, white) == _affine_canonical_oracle(a, white)
+
+
+def _kac_json_oracle(a, white):
+    """The JSON of a Kac diagram as one object passed to `json.dumps`."""
+    def edge(e):
+        rec = {"from": e.a, "to": e.b, "mult": e.mult}
+        if e.short is not None:
+            rec["short_end"] = e.short
+        return rec
+
+    return json.dumps({
+        "kind": "affine",
+        "base": {"family": a.base.family, "rank": a.base.rank},
+        "twist": a.twist,
+        "nodes": [{"id": v, "mark": "white" if v in white else "black"} for v in a.nodes],
+        "edges": [edge(e) for e in sorted(a.edges)],
+        "labels": list(a.labels),
+    })
+
+
+@pytest.mark.parametrize("shape", _shapes_up_to(30), ids=lambda s: f"{s[0]}^({s[1]})")
+def test_kac_json_matches_the_dict_writer(shape):
+    # The plain diagram and every set of one or two white nodes.
+    a = affine_diagram(*shape)
+    assert to_json(a) == _kac_json_oracle(a, ())
+    for k in (1, 2):
+        for white in itertools.combinations(a.nodes, k):
+            assert to_json(MarkedKacDiagram(a, white)) == _kac_json_oracle(a, white), white
 
 
 @SETTINGS
