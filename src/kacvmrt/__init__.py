@@ -36,7 +36,6 @@ from .engine import (
     fold_consistency,
     identify,
     vmrt,
-    z_dimension,
     z_orbit_diagram,
 )
 from .render import parse, render, to_ascii, to_canonical_text, to_dot, to_json, to_latex
@@ -86,6 +85,5 @@ __all__ = [
     "to_latex",
     "validate_kac_marking",
     "vmrt",
-    "z_dimension",
     "z_orbit_diagram",
 ]

@@ -299,37 +299,58 @@ def _herm_diii_even(n: int) -> SymmetricSpaceEntry:
                   RestrictedType("C", n))
 
 
+# The Kac diagram of each fixed row, as (base, twist): the rows take it
+# from here, and enumeration reads node counts off it before building any
+# row.
+_FIXED_KAC: Dict[str, Tuple[CartanType, int]] = {
+    "group-F": (CartanType("F", 4), 1),
+    "group-G": (CartanType("G", 2), 1),
+    "EI": (CartanType("E", 6), 2),
+    "EII": (CartanType("E", 6), 1),
+    "EIV": (CartanType("E", 6), 2),
+    "EV": (CartanType("E", 7), 1),
+    "EVI": (CartanType("E", 7), 1),
+    "EVIII": (CartanType("E", 8), 1),
+    "EIX": (CartanType("E", 8), 1),
+    "FI": (CartanType("F", 4), 1),
+    "FII": (CartanType("F", 4), 1),
+    "G": (CartanType("G", 2), 1),
+    "herm-AI": (CartanType("A", 1), 1),
+    "herm-EIII": (CartanType("E", 6), 1),
+    "herm-EVII": (CartanType("E", 7), 1),
+}
+
 _FIXED_ROWS: Dict[str, Callable[[], SymmetricSpaceEntry]] = {
     "group-F": lambda: _group_entry("F", 4),
     "group-G": lambda: _group_entry("G", 2),
-    "EI": lambda: _entry("EI", {}, "simple", "E_6", "C_4", CartanType("E", 6), 2, (1,),
+    "EI": lambda: _entry("EI", {}, "simple", "E_6", "C_4", *_FIXED_KAC["EI"], (1,),
                          RestrictedType("E", 6)),
-    "EII": lambda: _entry("EII", {}, "simple", "E_6", "A_5 x A_1", CartanType("E", 6), 1, (2,),
+    "EII": lambda: _entry("EII", {}, "simple", "E_6", "A_5 x A_1", *_FIXED_KAC["EII"], (2,),
                           RestrictedType("F", 4)),
-    "EIV": lambda: _entry("EIV", {}, "simple", "E_6", "F_4", CartanType("E", 6), 2, (0,),
+    "EIV": lambda: _entry("EIV", {}, "simple", "E_6", "F_4", *_FIXED_KAC["EIV"], (0,),
                           RestrictedType("A", 2), notes=(NOTE_EIV,)),
-    "EV": lambda: _entry("EV", {}, "simple", "E_7", "A_7", CartanType("E", 7), 1, (2,),
+    "EV": lambda: _entry("EV", {}, "simple", "E_7", "A_7", *_FIXED_KAC["EV"], (2,),
                          RestrictedType("E", 7)),
-    "EVI": lambda: _entry("EVI", {}, "simple", "E_7", "D_6 x A_1", CartanType("E", 7), 1, (6,),
+    "EVI": lambda: _entry("EVI", {}, "simple", "E_7", "D_6 x A_1", *_FIXED_KAC["EVI"], (6,),
                           RestrictedType("F", 4)),
-    "EVIII": lambda: _entry("EVIII", {}, "simple", "E_8", "D_8", CartanType("E", 8), 1, (1,),
+    "EVIII": lambda: _entry("EVIII", {}, "simple", "E_8", "D_8", *_FIXED_KAC["EVIII"], (1,),
                             RestrictedType("E", 8)),
-    "EIX": lambda: _entry("EIX", {}, "simple", "E_8", "E_7 x A_1", CartanType("E", 8), 1, (8,),
+    "EIX": lambda: _entry("EIX", {}, "simple", "E_8", "E_7 x A_1", *_FIXED_KAC["EIX"], (8,),
                           RestrictedType("F", 4)),
-    "FI": lambda: _entry("FI", {}, "simple", "F_4", "C_3 x A_1", CartanType("F", 4), 1, (1,),
+    "FI": lambda: _entry("FI", {}, "simple", "F_4", "C_3 x A_1", *_FIXED_KAC["FI"], (1,),
                          RestrictedType("F", 4)),
-    "FII": lambda: _entry("FII", {}, "simple", "F_4", "B_4", CartanType("F", 4), 1, (4,),
+    "FII": lambda: _entry("FII", {}, "simple", "F_4", "B_4", *_FIXED_KAC["FII"], (4,),
                           RestrictedType("BC", 1)),
-    "G": lambda: _entry("G", {}, "simple", "G_2", "A_1 x A_1", CartanType("G", 2), 1, (2,),
+    "G": lambda: _entry("G", {}, "simple", "G_2", "A_1 x A_1", *_FIXED_KAC["G"], (2,),
                         RestrictedType("G", 2)),
     "herm-AI": lambda: _entry("herm-AI", {}, "hermitian-nonexceptional", "PGL_2", "PO_2",
-                              CartanType("A", 1), 1, (0, 1), RestrictedType("A", 1),
+                              *_FIXED_KAC["herm-AI"], (0, 1), RestrictedType("A", 1),
                               proj_dim=1),
     "herm-EIII": lambda: _entry("herm-EIII", {}, "hermitian-exceptional", "E_6^ad",
-                                "D_5 x C*", CartanType("E", 6), 1, (0, 1),
+                                "D_5 x C*", *_FIXED_KAC["herm-EIII"], (0, 1),
                                 RestrictedType("BC", 2)),
     "herm-EVII": lambda: _entry("herm-EVII", {}, "hermitian-nonexceptional", "E_7^ad",
-                                "E_6 x C*", CartanType("E", 7), 1, (0, 7),
+                                "E_6 x C*", *_FIXED_KAC["herm-EVII"], (0, 7),
                                 RestrictedType("C", 3)),
 }
 
@@ -426,9 +447,9 @@ def kac_diagram(e: SymmetricSpaceEntry) -> MarkedKacDiagram:
 
 def _family_instances(label: str, max_nodes: int) -> Iterable[SymmetricSpaceEntry]:
     if label in _FIXED_ROWS:
-        e = _FIXED_ROWS[label]()
-        if e.num_kac_nodes <= max_nodes:
-            yield e
+        base, twist = _FIXED_KAC[label]
+        if affine_node_count(base.family, base.rank, twist) <= max_nodes:
+            yield _FIXED_ROWS[label]()
         return
     # Node counts grow with n and do not depend on m, so the cut on n is
     # made before any row is built.

@@ -15,8 +15,8 @@ from typing import List, Optional
 from . import __version__
 from .atlas import MAX_RANK, enumerate_entries, lookup
 from .diagrams import MarkedDynkinDiagram, parabolic_dimension
-from .engine import FOLDING_PAIRS, _z_orbit, fold, vmrt
-from .render import FORMATS, parse, render, to_canonical_text
+from .engine import FOLDING_PAIRS, _vmrt, _z_orbit, fold, vmrt
+from .render import FORMATS, _finite_canonical, parse, render, to_canonical_text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,8 +82,10 @@ def _finite_marked(args) -> MarkedDynkinDiagram:
 
 
 def _entry_json(e) -> dict:
-    v = vmrt(e)
-    z = [to_canonical_text(c) for c in v.z]
+    # The Z and VMRT texts are written from the classes vmrt already holds.
+    v, zclasses, classes = _vmrt(e)
+    z = [_finite_canonical(c, k) for c, k in zip(v.z, zclasses)]
+    vmrt_texts = z if v.components is v.z else [_finite_canonical(c, k) for c, k in zip(v.components, classes)]
     return {
         "label": e.label,
         "params": dict(e.params),
@@ -95,7 +97,7 @@ def _entry_json(e) -> dict:
         "boundary_degree": e.boundary_degree,
         "z": z,
         "z_dim": v.z_dim,
-        "vmrt": z if v.components is v.z else [to_canonical_text(c) for c in v.components],
+        "vmrt": vmrt_texts,
         "vmrt_kind": v.kind,
         "vmrt_dim": v.dimension,
         "identification": v.identification,
@@ -143,7 +145,7 @@ def _dispatch(args) -> int:
 
     if args.command == "zorbit":
         e = lookup(args.label, _params(args))
-        zs, zdim, name = _z_orbit(e.kac_diagram(), e.kind)
+        zs, zdim, name, _ = _z_orbit(e.kac_diagram(), e.kind)
         for z in zs:
             print(render(z, args.format))
         print(f"dim {zdim}")

@@ -64,9 +64,11 @@ def z_orbit_diagram(m: MarkedKacDiagram, kind: str) -> Tuple[MarkedDynkinDiagram
     return _z_orbit(m, kind)[0]
 
 
-def _z_orbit(m: MarkedKacDiagram, kind: str) -> Tuple[Tuple[MarkedDynkinDiagram, ...], int, str]:
-    """z_orbit_diagram's result, dim Z and the name of Z, all read off one
-    classification of the diagram that every half of Z marks."""
+def _z_orbit(m: MarkedKacDiagram, kind: str) -> Tuple[Tuple[MarkedDynkinDiagram, ...], int, str,
+                                                      Tuple[Classes, ...]]:
+    """z_orbit_diagram's result, dim Z, the name of Z and the classes of
+    each Z diagram, all read off one classification of the diagram that
+    every half of Z marks."""
     if not validate_kac_marking(m, kind):
         raise ValueError(
             f"marking violates the {kind} white-node rule "
@@ -83,11 +85,11 @@ def _z_orbit(m: MarkedKacDiagram, kind: str) -> Tuple[Tuple[MarkedDynkinDiagram,
     zdim = dims.pop()
     name = " u ".join([_name(h, classes) for h in halves])
     if kind in ("group", "simple", "hermitian-exceptional"):
-        return tuple(halves), zdim, name
+        return tuple(halves), zdim, name, (classes,) * len(halves)
 
     # Non-exceptional: one sigma-paired diagram out of two disjoint copies.
     if not finite.nodes:
-        return (marked(DynkinDiagram(()), sigma_pairs=()),), zdim, "P^0"
+        return (marked(DynkinDiagram(()), sigma_pairs=()),), zdim, "P^0", ((),)
     h0, h1 = halves
     iso = find_marked_isomorphism(h0, h1, classes, classes)
     if iso is None:
@@ -97,15 +99,8 @@ def _z_orbit(m: MarkedKacDiagram, kind: str) -> Tuple[Tuple[MarkedDynkinDiagram,
     union = DynkinDiagram(finite.nodes + h1s.diagram.nodes, finite.edges | h1s.diagram.edges)
     pairs = tuple(sorted([(v, iso[v] + offset) for v in finite.nodes]))
     z = marked(union, h0.crossed | h1s.crossed, h0.annotations + h1s.annotations, pairs)
-    return (z,), zdim, name
-
-
-def z_dimension(z: MarkedDynkinDiagram) -> int:
-    """dim Z: positive roots over the crossed nodes, one sigma half only."""
-    if z.sigma_pairs is not None:
-        left = z.sigma_left_nodes()
-        return parabolic_dimension(z.diagram.restrict(left), z.crossed & left)
-    return parabolic_dimension(z.diagram, z.crossed)
+    shifted = tuple([(t, {v + offset: i for v, i in mapping.items()}) for t, mapping in classes])
+    return (z,), zdim, name, (classes + shifted,)
 
 
 # ---------------------------------------------------------------------------
@@ -223,18 +218,25 @@ def _type_a_table(e: SymmetricSpaceEntry) -> Tuple[MarkedDynkinDiagram, Classes,
 def vmrt(e: SymmetricSpaceEntry) -> VMRTDescription:
     """The variety of minimal rational tangents of the wonderful
     compactification of e, as marked diagram(s) plus dimension and name."""
-    zs, zdim, ident = _z_orbit(e.kac_diagram(), e.kind)
+    return _vmrt(e)[0]
+
+
+def _vmrt(e: SymmetricSpaceEntry) -> Tuple[VMRTDescription, Tuple[Classes, ...], Tuple[Classes, ...]]:
+    """vmrt(e) and the classes of each of its z and components diagrams,
+    as the canonical writer takes them."""
+    zs, zdim, ident, zclasses = _z_orbit(e.kac_diagram(), e.kind)
     if not e.restricted.is_type_a:
-        return VMRTDescription(
+        v = VMRTDescription(
             kind="legendrian-Z",
             components=zs,
             dimension=zdim,
             identification=ident,
             z=zs, z_dim=zdim,
         )
+        return v, zclasses, zclasses
     if e.restricted.rank >= 2:
         gp, classes, note = _type_a_table(e)
-        return VMRTDescription(
+        v = VMRTDescription(
             kind="typeA-GPlambda",
             components=(gp,),
             dimension=zdim + 1,
@@ -242,19 +244,21 @@ def vmrt(e: SymmetricSpaceEntry) -> VMRTDescription:
             z=zs, z_dim=zdim,
             ambient_note=note,
         )
+        return v, zclasses, (classes,)
     # Restricted type A_1: the VMRT is all of P(T_pX) = P(p).
     k = e.isotropy_proj_dim
     if k is None:
         raise AssertionError(f"entry {e.name} lacks its stored dim P(p)")
-    proj = standard_marked(CartanType("A", k), {1})
-    return VMRTDescription(
+    t = CartanType("A", k)
+    v = VMRTDescription(
         kind="full-projective-space",
-        components=(proj,),
+        components=(standard_marked(t, {1}),),
         dimension=k,
         identification=f"P^{k}",
         z=zs, z_dim=zdim,
         ambient_note="C_p = P(T_pX) = P(p)",
     )
+    return v, zclasses, ((_bourbaki(t),),)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .affine import AffineDiagram, MarkedKacDiagram, affine_diagram
-from .diagrams import (DynkinDiagram, Edge, MarkedDynkinDiagram, _chain_from, _edge_signature, classify,
-                       diagram_automorphisms, standard_diagram)
+from .diagrams import (Classes, DynkinDiagram, Edge, MarkedDynkinDiagram, _chain_from, _edge_signature,
+                       classify, diagram_automorphisms, standard_diagram)
 from .roots import CartanType
 
 Diagram = Union[MarkedDynkinDiagram, MarkedKacDiagram, AffineDiagram, DynkinDiagram]
@@ -222,10 +222,21 @@ def to_canonical_text(d: Diagram) -> str:
     a, md, marks = _kind_of(d)
     if a is not None:
         return _affine_canonical(a, marks)
+    return _finite_canonical(md, classify(md.diagram), marks)
+
+
+def _finite_canonical(md: MarkedDynkinDiagram, classes: Classes,
+                      marks: Optional[Dict[int, str]] = None) -> str:
+    """The canonical text of md from any classification of its diagram:
+    each component is written as the least text over its type's
+    automorphisms, so every valid classes gives the same text.  marks, if
+    given, are _kind_of(md)'s."""
+    if marks is None:
+        marks = _kind_of(md)[2]
     edge_of = _edge_lookup(md.diagram.adjacency())
     parts = sorted(
         _component_canonical(t, mapping, edge_of, marks)
-        for t, mapping in classify(md.diagram)
+        for t, mapping in classes
     )
     if md.sigma_pairs is not None and parts:
         # The pairing makes the halves isomorphic, so every other part

@@ -18,8 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .affine import affine_diagram, kac_labels, validate_kac_marking
 from .atlas import SymmetricSpaceEntry, enumerate_entries, lookup
 from .diagrams import MarkedDynkinDiagram, find_marked_isomorphism, parabolic_dimension
-from .engine import VMRTDescription, contact_grading_check, fold, fold_consistency, vmrt
-from .render import parse, to_canonical_text
+from .engine import VMRTDescription, _vmrt, contact_grading_check, fold, fold_consistency, vmrt
+from .render import _finite_canonical, parse, to_canonical_text
 from .roots import CartanType, Record, positive_roots
 
 
@@ -320,7 +320,7 @@ def _entry_pass(max_rank: int, parts: Sequence[str], vmrts: Optional[VMRTs] = No
                    and e.kac_base != CartanType("A", 1))
         if _NEEDS_VMRT.isdisjoint(parts) and not contact:
             continue
-        v = vmrt(e)
+        v, zclasses, classes = _vmrt(e)
         if vmrts is not None and (e.label, e.params) in vmrts:
             vmrts[(e.label, e.params)] = v
         if contact:
@@ -341,10 +341,14 @@ def _entry_pass(max_rank: int, parts: Sequence[str], vmrts: Optional[VMRTs] = No
             bad["components"].append(e.name)
         if "round-trip" in parts:
             # A Legendrian entry's VMRT diagrams are its Z diagrams: each
-            # object is read back once but counted as before.
+            # object is read back once but counted as before.  Z and VMRT
+            # texts are written from vmrt's classes; reading them back
+            # classifies afresh, so the row checks those classes too.
             diagrams += 1 + len(v.z) + len(v.components)
-            for d in (kac,) + v.z + (() if v.components is v.z else v.components):
-                text = to_canonical_text(d)
+            written = list(zip(v.z, zclasses))
+            if v.components is not v.z:
+                written += zip(v.components, classes)
+            for text in [to_canonical_text(kac)] + [_finite_canonical(d, k) for d, k in written]:
                 if to_canonical_text(parse(text)) != text:
                     bad["round-trip"].append(f"{e.name}: {text!r}")
     heads = {

@@ -1,0 +1,127 @@
+"""Mutation checks: each mutant is a small deliberate fault in src/ that
+the named test files must catch.
+
+For each mutant, a temporary copy of src/ is patched (one exact text, which
+must occur once in its file, replaced by another) and pytest runs the
+mutant's test files against the copy.  The mutant is killed when a test
+fails.  Run from anywhere, with pytest installed:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # only the named ones
+
+Exit status: 0 when every mutant is killed; 1 when one survives or its
+run errs (pytest exits other than 0 or 1); 2 when a mutant's old text
+no longer occurs exactly once, so the list needs mending.  Each later
+check adds its mutant here.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple, Tuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/kacvmrt/
+    old: str
+    new: str
+    tests: Tuple[str, ...]  # test files, relative to the repository root
+
+
+MUTANTS: Tuple[Mutant, ...] = (
+    # The right half of a sigma-paired Z keeps the left half's node ids.
+    Mutant("sigma-classes-unshifted", "engine.py",
+           "{v + offset: i for v, i in mapping.items()}",
+           "{v: i for v, i in mapping.items()}",
+           ("tests/test_engine.py",)),
+    # The ambient pair (G, P_lambda) is written with the classes of Z.
+    Mutant("type-a-component-given-z-classes", "engine.py",
+           "return v, zclasses, (classes,)",
+           "return v, zclasses, zclasses",
+           ("tests/test_engine.py", "tests/test_cli.py")),
+    # Affine canonical text tries the automorphisms of the greatest first
+    # token instead of the least.
+    Mutant("affine-greatest-first-token", "render.py",
+           'first = min([marks.get(nodes[0], "o") for nodes in images])',
+           'first = max([marks.get(nodes[0], "o") for nodes in images])',
+           ("tests/test_render.py", "tests/test_oracles.py")),
+    # The Levi factor D_{k+2} of a D diagram counted as (k+2)k roots.
+    Mutant("levi-d-factor-miscounted", "diagrams.py",
+           "return levi + (k + 2) * (k + 1)",
+           "return levi + (k + 2) * k",
+           ("tests/test_diagrams.py", "tests/test_oracles.py")),
+    # The Bourbaki class of a standard diagram read backwards.
+    Mutant("bourbaki-reversed", "engine.py",
+           "return t, {first + i: i + 1 for i in range(t.rank)}",
+           "return t, {first + i: t.rank - i for i in range(t.rank)}",
+           ("tests/test_engine.py", "tests/test_verify.py")),
+    # The template reader takes the greatest image tuple as the isomorphism.
+    Mutant("kac-reader-greatest-image", "parsing.py",
+           "least = min(images)",
+           "least = max(images)",
+           ("tests/test_oracles.py", "tests/test_render.py")),
+    # The template reader accepts a filling that is not the least text.
+    Mutant("kac-reader-no-canonical-check", "parsing.py",
+           'return m if _affine_canonical(a, dict.fromkeys(m.white, "O")) == s else None',
+           "return m",
+           ("tests/test_oracles.py", "tests/test_render.py")),
+    # Affine candidates keep the types whose node 0 has no deletion key.
+    Mutant("affine-candidates-unfiltered", "recognition.py",
+           " and _node_zero_key(f, n, twist) is not None",
+           "",
+           ("tests/test_oracles.py", "tests/test_render.py")),
+    # CII builds a row for every m, its mirror included.
+    Mutant("cii-every-m", "atlas.py",
+           '"CII": lambda n: range(1, n // 2 + 1),',
+           '"CII": lambda n: range(1, n),',
+           ("tests/test_atlas.py",)),
+)
+
+
+def _run(m: Mutant, tmp: str) -> str:
+    """'killed', 'survived', 'stale' or 'error'; an error prints the tail
+    of pytest's output."""
+    src = os.path.join(tmp, "src")
+    shutil.copytree(os.path.join(ROOT, "src"), src, ignore=shutil.ignore_patterns("__pycache__"))
+    path = os.path.join(src, "kacvmrt", m.file)
+    with open(path) as fh:
+        text = fh.read()
+    if text.count(m.old) != 1:
+        return "stale"
+    with open(path, "w") as fh:
+        fh.write(text.replace(m.old, m.new))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *m.tests],
+        cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    if proc.returncode not in (0, 1):
+        sys.stdout.write(proc.stdout[-2000:])
+        return "error"
+    return "killed" if proc.returncode == 1 else "survived"
+
+
+def main(names) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    outcomes = []
+    for m in MUTANTS:
+        if names and m.name not in names:
+            continue
+        with tempfile.TemporaryDirectory(prefix="kacvmrt-mutant-") as tmp:
+            outcome = _run(m, tmp)
+        print(f"{m.name:36s} {outcome}", flush=True)
+        outcomes.append(outcome)
+    if "stale" in outcomes:
+        return 2
+    return 0 if all(o == "killed" for o in outcomes) else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

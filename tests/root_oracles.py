@@ -1,10 +1,11 @@
 """Root-system functions that only the tests use, kept as oracles beside
 them: root lengths, the highest short root, the -w0 diagram automorphism,
-and the sign and support of a root."""
+the sign and support of a root, and dim Z from a Z diagram alone."""
 
 from functools import lru_cache
 from typing import Dict, Tuple
 
+from kacvmrt.diagrams import MarkedDynkinDiagram, parabolic_dimension
 from kacvmrt.roots import CartanType, Root, cartan_matrix, positive_roots, simple_norms
 
 
@@ -58,3 +59,11 @@ def minus_w0(t: CartanType) -> Dict[int, int]:
     if t.family == "E" and n == 6:
         return {1: 6, 2: 2, 3: 5, 4: 4, 5: 3, 6: 1}
     return {i: i for i in range(1, n + 1)}
+
+
+def z_dimension(z: MarkedDynkinDiagram) -> int:
+    """dim Z: positive roots over the crossed nodes, one sigma half only."""
+    if z.sigma_pairs is not None:
+        left = z.sigma_left_nodes()
+        return parabolic_dimension(z.diagram.restrict(left), z.crossed & left)
+    return parabolic_dimension(z.diagram, z.crossed)

@@ -147,9 +147,10 @@ def test_enumerate_node_count_bound():
         assert e.num_kac_nodes == e.kac_diagram().diagram.num_nodes, e.name
 
 
-@pytest.mark.parametrize("k", [14, 30])
+@pytest.mark.parametrize("k", list(range(2, 15)) + [30])
 def test_enumerate_builds_each_row_once(k, monkeypatch):
-    # An m and its mirror give one row, and only that row is built.
+    # An m and its mirror give one row, and only that row is built; a fixed
+    # row is cut on its node count before it is built.
     built = []
     real = atlas._entry
 
@@ -160,6 +161,12 @@ def test_enumerate_builds_each_row_once(k, monkeypatch):
     monkeypatch.setattr(atlas, "_entry", entry)
     entries = enumerate_entries(k)
     assert len(built) == len(entries) == len(set(map(repr, built)))
+
+
+def test_fixed_rows_have_the_kac_diagram_they_are_cut_on():
+    for label, build in _FIXED_ROWS.items():
+        e = build()
+        assert (e.kac_base, e.kac_twist) == atlas._FIXED_KAC[label], label
 
 
 def test_every_entry_satisfies_marking_rule():

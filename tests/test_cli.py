@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from kacvmrt import cli
+from kacvmrt import cli, diagrams
 from kacvmrt.cli import main
 
 
@@ -70,7 +70,7 @@ def test_kac_and_zorbit(capsys):
 def test_zorbit_recognises_each_z_diagram_once(capsys, monkeypatch):
     # dim Z and the name come from `engine._z_orbit`, which zorbit calls as
     # vmrt does: one classification of the diagram every Z marks.
-    from kacvmrt import diagrams, engine
+    from kacvmrt import engine
     from kacvmrt.atlas import enumerate_entries
 
     recognised, made = [], []
@@ -168,8 +168,9 @@ def test_export_atlas_byte_stable(tmp_path, capsys):
 def test_entry_json_renders_each_diagram_once(monkeypatch):
     # A Legendrian entry's VMRT diagrams are its Z diagrams: rendered once.
     texts = []
-    real = cli.to_canonical_text
+    real, real_finite = cli.to_canonical_text, cli._finite_canonical
     monkeypatch.setattr(cli, "to_canonical_text", lambda d: texts.append(d) or real(d))
+    monkeypatch.setattr(cli, "_finite_canonical", lambda d, k: texts.append(d) or real_finite(d, k))
     for e in cli.enumerate_entries(8):
         texts.clear()
         record = cli._entry_json(e)
@@ -179,15 +180,37 @@ def test_entry_json_renders_each_diagram_once(monkeypatch):
         assert record["vmrt"] == [real(c) for c in v.components]
 
 
-# SHA-256 of `kacvmrt export-atlas --max-rank 12`: the catalogue must not
+def test_entry_json_classifies_each_entry_once(monkeypatch):
+    # The Z and VMRT texts are written from the classes vmrt holds, so the
+    # record's one classification is the one that builds Z.  The first pass
+    # fills the per-type caches.
+    entries = cli.enumerate_entries(12)
+    for e in entries:
+        cli._entry_json(e)
+    recognised = []
+    real = diagrams.classify
+    for module in [m for name, m in sys.modules.items() if name.startswith("kacvmrt")]:
+        if getattr(module, "classify", None) is real:
+            monkeypatch.setattr(module, "classify", lambda d: recognised.append(d) or real(d))
+    for e in entries:
+        recognised.clear()
+        cli._entry_json(e)
+        assert len(recognised) == 1, e.name
+
+
+# SHA-256 of `kacvmrt export-atlas --max-rank R`: the catalogue must not
 # move when the way it is computed does.
-EXPORT_RANK12_SHA256 = "7a860b98540dd43bc9449279608fcfe26323093e1e9ca3eceda00bbd98c3940b"
+EXPORT_SHA256 = {
+    12: "7a860b98540dd43bc9449279608fcfe26323093e1e9ca3eceda00bbd98c3940b",
+    30: "bdeaced44c4490924d0bd675da2f1d1bbeaccd9451b2eb0a50cfee6272e2f4d4",
+}
 
 
-def test_export_atlas_rank12_is_pinned(tmp_path, capsys):
+@pytest.mark.parametrize("max_rank", sorted(EXPORT_SHA256))
+def test_export_atlas_is_pinned(tmp_path, capsys, max_rank):
     out = tmp_path / "atlas.json"
-    assert run(capsys, "export-atlas", "--max-rank", "12", "--out", str(out))[0] == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_RANK12_SHA256
+    assert run(capsys, "export-atlas", "--max-rank", str(max_rank), "--out", str(out))[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_SHA256[max_rank]
 
 
 def test_closed_pipe_exits_quietly():

@@ -5,7 +5,7 @@ import pytest
 from kacvmrt import diagrams, engine
 from kacvmrt.affine import MarkedKacDiagram, affine_diagram
 from kacvmrt.atlas import enumerate_entries, lookup
-from kacvmrt.diagrams import parabolic_dimension, standard_marked
+from kacvmrt.diagrams import parabolic_dimension, standard_diagram, standard_marked
 from kacvmrt.engine import (
     contact_grading_check,
     entry_folding_pair,
@@ -13,11 +13,11 @@ from kacvmrt.engine import (
     fold_consistency,
     identify,
     vmrt,
-    z_dimension,
     z_orbit_diagram,
 )
-from kacvmrt.render import to_canonical_text
+from kacvmrt.render import _finite_canonical, to_canonical_text
 from kacvmrt.roots import CartanType
+from root_oracles import z_dimension
 
 
 def entry_z(label, params=None):
@@ -170,6 +170,29 @@ class TestVMRT:
                     seen = [frozenset(d.nodes) for d in recognised]
                     assert seen.count(left) == 1, e.name
                     assert seen.count(frozenset(z.diagram.nodes) - left) == 0, e.name
+
+    def test_vmrt_hands_over_a_classification_of_each_diagram(self):
+        # The classes _vmrt returns beside each Z and VMRT diagram classify
+        # it: one (type, Bourbaki indices) per component, carrying its edges
+        # onto the type's.  Written from them, the canonical text is that of
+        # a fresh classify.
+        kinds, sigma = set(), 0
+        for e in enumerate_entries(30):
+            v, zclasses, classes = engine._vmrt(e)
+            kinds.add(v.kind)
+            for ds, cs in ((v.z, zclasses), (v.components, classes)):
+                assert len(ds) == len(cs), e.name
+                for d, k in zip(ds, cs):
+                    comps = sorted(sorted(c) for c in d.diagram.components())
+                    assert sorted(sorted(m) for _, m in k) == comps, e.name
+                    for t, m in k:
+                        inv = {i: x for x, i in m.items()}
+                        std = standard_diagram(t, [inv[i] for i in range(1, t.rank + 1)])
+                        assert std.edges == frozenset(x for x in d.diagram.edges if x.a in m), e.name
+                    assert _finite_canonical(d, k) == to_canonical_text(d), e.name
+                    sigma += d.sigma_pairs is not None and bool(d.diagram.nodes)
+        assert kinds == {"legendrian-Z", "typeA-GPlambda", "full-projective-space"}
+        assert sigma > 0
 
     def test_ambient_pair_named_without_classifying_it(self, monkeypatch):
         # The name of (G, P_lambda) comes from the Bourbaki types its
