@@ -10,13 +10,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import __version__
 from .atlas import MAX_RANK, enumerate_entries, lookup
-from .diagrams import MarkedDynkinDiagram, parabolic_dimension
+from .diagrams import Classes, MarkedDynkinDiagram, parabolic_dimension
 from .engine import FOLDING_PAIRS, _vmrt, _z_orbit, fold, vmrt
-from .render import FORMATS, _finite_canonical, parse, render, to_canonical_text
+from .render import FORMATS, _finite_canonical, render, to_canonical_text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -73,12 +73,15 @@ def _params(args) -> dict:
     return out
 
 
-def _finite_marked(args) -> MarkedDynkinDiagram:
-    """The diagram that dim and fold read, which must be finite and marked."""
-    d = parse(args.diagram)
+def _finite_marked(args) -> Tuple[MarkedDynkinDiagram, Classes]:
+    """The diagram that dim and fold read, which must be finite and marked,
+    and the classes the reader found for it."""
+    from .parsing import _read  # as render.parse: only dim and fold read
+
+    d, classes = _read(args.diagram)
     if not isinstance(d, MarkedDynkinDiagram):
         raise ValueError(f"{args.command} expects a finite marked diagram")
-    return d
+    return d, classes
 
 
 def _entry_json(e) -> dict:
@@ -163,12 +166,12 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "dim":
-        d = _finite_marked(args)
-        print(parabolic_dimension(d.diagram, d.crossed))
+        d, classes = _finite_marked(args)
+        print(parabolic_dimension(d.diagram, d.crossed, classes))
         return 0
 
     if args.command == "fold":
-        print(render(fold(_finite_marked(args), args.pair), args.format))
+        print(render(fold(_finite_marked(args)[0], args.pair), args.format))
         return 0
 
     if args.command == "verify":

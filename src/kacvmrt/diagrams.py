@@ -322,15 +322,17 @@ def parabolic_dimension(d: DynkinDiagram, marked: Iterable[int], classes: Option
     return total
 
 
-def graded_dimensions(d: DynkinDiagram, marked: Iterable[int]) -> Dict[int, int]:
+def graded_dimensions(d: DynkinDiagram, marked: Iterable[int],
+                      classes: Optional[Classes] = None) -> Dict[int, int]:
     """Dimensions of the grading by total coefficient over the marked nodes.
 
     Grade of a root is the sum of its coefficients at marked nodes; grade 0
     additionally carries the full Cartan dimension (the rank of d).
+    classes, if given, is classify(d).
     """
     marked_set = _nodes_in(d, marked)
     dims: Dict[int, int] = {0: d.rank}
-    for t, mapping in classify(d):
+    for t, mapping in classify(d) if classes is None else classes:
         idx = {mapping[v] for v in marked_set if v in mapping}
         for r in positive_roots(t):
             k = sum(r.coefficient(i) for i in idx)

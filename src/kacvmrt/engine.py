@@ -385,12 +385,14 @@ def fold_consistency(e: SymmetricSpaceEntry, v: Optional[VMRTDescription] = None
     return find_marked_isomorphism(fold(v.components[0], pair), z) is not None
 
 
-def contact_grading_check(e: SymmetricSpaceEntry, v: Optional[VMRTDescription] = None) -> bool:
+def contact_grading_check(e: SymmetricSpaceEntry, v: Optional[VMRTDescription] = None,
+                          classes: Optional[Classes] = None) -> bool:
     """Group type only: the grading by the crossed nodes of Z has depth 2
-    with one-dimensional top piece (the contact gradation); v, if given, is vmrt(e)."""
+    with one-dimensional top piece (the contact gradation); v, if given, is
+    vmrt(e), and classes, if given, is classify of Z's diagram."""
     if e.kind != "group":
         raise ValueError(f"{e.name} is not of group type")
     (z,) = z_orbit_diagram(e.kac_diagram(), e.kind) if v is None else v.z
-    dims = graded_dimensions(z.diagram, z.crossed)
+    dims = graded_dimensions(z.diagram, z.crossed, classes)
     top = max(dims)
     return top == 2 and dims[2] == 1

@@ -11,6 +11,7 @@ from typing import Dict, List, Optional, Tuple
 from .affine import MarkedKacDiagram, affine_diagram
 from .atlas import MAX_RANK
 from .diagrams import (
+    Classes,
     DynkinDiagram,
     Edge,
     UnrecognizedDiagram,
@@ -178,10 +179,17 @@ def _read_kac_text(s: str) -> Optional[MarkedKacDiagram]:
 
 def read(s: str) -> Diagram:
     """Parse s; `render.parse`, which calls this, documents the contract."""
+    return _read(s)[0]
+
+
+def _read(s: str) -> Tuple[Diagram, Optional[Classes]]:
+    """read(s) and the classification of its diagram that the reader made
+    to check it: the classes of a finite (sigma-paired too) diagram, None
+    for an affine or Kac diagram."""
     if "O" in s:
         m = _read_kac_text(s)
         if m is not None:
-            return m
+            return m, None
     p = _Parser(s)
     p.parse()
     d = DynkinDiagram(tuple(p.nodes), frozenset(p.edges))
@@ -192,7 +200,7 @@ def read(s: str) -> Diagram:
             pass  # fall through to affine recognition
         else:
             if not p.sigma:
-                return marked(d, p.crossed, p.ann)
+                return marked(d, p.crossed, p.ann), classes
             if len(classes) % 2 != 0:
                 raise ParseError("sigma needs an even number of components", len(s))
             # Halve each class of marked-isomorphic components, in text order.
@@ -206,7 +214,7 @@ def read(s: str) -> Diagram:
             left = [c for g in groups.values() for c in g[:len(g) // 2]]
             right = [c for g in groups.values() for c in g[len(g) // 2:]]
             iso = find_marked_isomorphism(md, md, left, right)
-            return marked(d, p.crossed, p.ann, sorted(iso.items()))
+            return marked(d, p.crossed, p.ann, sorted(iso.items())), classes
     if p.crossed:
         raise ParseError("crossed nodes only occur in finite diagrams", len(s))
     if len(p.nodes) > MAX_RANK + 1:
@@ -218,5 +226,5 @@ def read(s: str) -> Diagram:
         raise ParseError("not a recognised finite or affine diagram", len(s))
     a, iso = hit
     if not p.white:
-        return a
-    return MarkedKacDiagram(a, frozenset([iso[w] for w in p.white]))
+        return a, None
+    return MarkedKacDiagram(a, frozenset([iso[w] for w in p.white])), None

@@ -17,9 +17,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .affine import affine_diagram, kac_labels, validate_kac_marking
 from .atlas import SymmetricSpaceEntry, enumerate_entries, lookup
-from .diagrams import MarkedDynkinDiagram, find_marked_isomorphism, parabolic_dimension
-from .engine import VMRTDescription, _vmrt, contact_grading_check, fold, fold_consistency, vmrt
-from .render import _finite_canonical, parse, to_canonical_text
+from .diagrams import Classes, MarkedDynkinDiagram, find_marked_isomorphism, parabolic_dimension
+from .engine import VMRTDescription, _vmrt, contact_grading_check, fold, fold_consistency
+from .render import _finite_canonical, to_canonical_text
 from .roots import CartanType, Record, positive_roots
 
 
@@ -145,16 +145,18 @@ def _entry_flags(e: SymmetricSpaceEntry) -> Tuple[str, ...]:
     return tuple([n.split(":", 1)[0] for n in e.notes])
 
 
-# VMRTs by (label, params) as the atlas stores them, shared by the checks of
-# one run so that each entry's VMRT is computed once.
-VMRTs = Dict[Tuple[str, tuple], Optional[VMRTDescription]]
+# _vmrt's results (the VMRT and the classes of its z and components
+# diagrams) by (label, params) as the atlas stores them, shared by the
+# checks of one run so that each entry's VMRT is computed once.
+Found = Tuple[VMRTDescription, Tuple[Classes, ...], Tuple[Classes, ...]]
+VMRTs = Dict[Tuple[str, tuple], Optional[Found]]
 
 
 def _vmrt_of(label: str, params: Optional[Dict[str, int]], vmrts: VMRTs):
-    """The entry and its VMRT, from vmrts or computed into it."""
+    """The entry and its _vmrt result, from vmrts or computed into it."""
     e = lookup(label, params)
     if vmrts.get((e.label, e.params)) is None:
-        vmrts[(e.label, e.params)] = vmrt(e)
+        vmrts[(e.label, e.params)] = _vmrt(e)
     return e, vmrts[(e.label, e.params)]
 
 
@@ -162,8 +164,8 @@ def check_golden_tables(vmrts: Optional[VMRTs] = None) -> List[CheckResult]:
     out: List[CheckResult] = []
     vmrts = {} if vmrts is None else vmrts
     for row in GOLDEN:
-        e, v = _vmrt_of(row.label, row.params, vmrts)
-        got_texts = tuple([to_canonical_text(c) for c in v.components])
+        e, (v, _, classes) = _vmrt_of(row.label, row.params, vmrts)
+        got_texts = tuple([_finite_canonical(c, k) for c, k in zip(v.components, classes)])
         problems = []
         if got_texts != row.texts:
             problems.append(f"diagram {got_texts} != {row.texts}")
@@ -194,7 +196,7 @@ def check_exceptional_dimensions(vmrts: Optional[VMRTs] = None) -> List[CheckRes
     out = []
     vmrts = {} if vmrts is None else vmrts
     for label, params, name, want in _DIMENSION_ROWS:
-        got = _vmrt_of(label, params, vmrts)[1].dimension
+        got = _vmrt_of(label, params, vmrts)[1][0].dimension
         out.append(CheckResult("dims", name, "PASS" if got == want else "FAIL", f"{got} (want {want})"))
     return out
 
@@ -221,14 +223,14 @@ def check_folding(vmrts: Optional[VMRTs] = None) -> List[CheckResult]:
     vmrts = {} if vmrts is None else vmrts
     bad = []
     for label, params in _FOLDING_CASES:
-        e, v = _vmrt_of(label, params, vmrts)
+        e, (v, _, _) = _vmrt_of(label, params, vmrts)
         if not fold_consistency(e, v):
             bad.append(e.name)
     out = [_row("folding", f"{len(_FOLDING_CASES)} foldable entries", bad)]
     for label, params, pair, want, note in _FOLDING_DISPLAYS:
-        v = _vmrt_of(label, params, vmrts)[1]
+        v, zclasses, _ = _vmrt_of(label, params, vmrts)[1]
         got = to_canonical_text(fold(v.components[0], pair))
-        ok = got == want and got == to_canonical_text(v.z[0])
+        ok = got == want and got == _finite_canonical(v.z[0], zclasses[0])
         out.append(CheckResult("folding", f"displayed folding {note}",
                                "PASS" if ok else "FAIL", got))
     return out
@@ -268,11 +270,13 @@ def _lie_dimensions(max_rank: int) -> CheckResult:
     return _row("self-checks", f"Lie dimension identities rank <= {max_rank}", bad)
 
 
-def _orbit_structure_ok(kind: str, zs: Tuple[MarkedDynkinDiagram, ...]) -> bool:
+def _orbit_structure_ok(kind: str, zs: Tuple[MarkedDynkinDiagram, ...],
+                        zclasses: Tuple[Classes, ...]) -> bool:
+    """zclasses are the classes of each Z diagram, as _vmrt gives them."""
     if kind in ("group", "simple"):
         return len(zs) == 1 and zs[0].sigma_pairs is None
     if kind == "hermitian-exceptional":
-        return len(zs) == 2 and find_marked_isomorphism(*zs) is not None
+        return len(zs) == 2 and find_marked_isomorphism(*zs, *zclasses) is not None
     # A sigma pairing is checked to match the halves when the Z is built.
     return len(zs) == 1 and zs[0].sigma_pairs is not None
 
@@ -299,6 +303,10 @@ def _entry_pass(max_rank: int, parts: Sequence[str], vmrts: Optional[VMRTs] = No
     count = contacts = diagrams = 0
     label_keys = set()
     contact_rank = max_rank if contact_rank is None else contact_rank
+    if "round-trip" in parts:
+        # Imported here, as render.parse does, so that importing this
+        # module does not compile the reader.
+        from .parsing import _read
     for e in enumerate_entries(max_rank):
         count += 1
         kac = e.kac_diagram()
@@ -320,12 +328,12 @@ def _entry_pass(max_rank: int, parts: Sequence[str], vmrts: Optional[VMRTs] = No
                    and e.kac_base != CartanType("A", 1))
         if _NEEDS_VMRT.isdisjoint(parts) and not contact:
             continue
-        v, zclasses, classes = _vmrt(e)
+        v, zclasses, classes = found = _vmrt(e)
         if vmrts is not None and (e.label, e.params) in vmrts:
-            vmrts[(e.label, e.params)] = v
+            vmrts[(e.label, e.params)] = found
         if contact:
             contacts += 1
-            if not contact_grading_check(e, v):
+            if not contact_grading_check(e, v, zclasses[0]):
                 bad["contact"].append(e.name)
         if "dimension-formula" in parts:
             if v.dimension != v.z_dim + e.boundary_degree - 1:
@@ -333,23 +341,26 @@ def _entry_pass(max_rank: int, parts: Sequence[str], vmrts: Optional[VMRTs] = No
                     f"{e.name}: {v.dimension} != {v.z_dim}+{e.boundary_degree}-1")
             if e.restricted.is_type_a and e.restricted.rank >= 2:
                 gp = v.components[0]
-                gp_dim = parabolic_dimension(gp.diagram, gp.crossed)
+                gp_dim = parabolic_dimension(gp.diagram, gp.crossed, classes[0])
                 if gp_dim != v.z_dim + 1:
                     bad["dimension-formula"].append(
                         f"{e.name}: ambient {gp_dim} != z+1 = {v.z_dim + 1}")
-        if "components" in parts and not _orbit_structure_ok(e.kind, v.z):
+        if "components" in parts and not _orbit_structure_ok(e.kind, v.z, zclasses):
             bad["components"].append(e.name)
         if "round-trip" in parts:
             # A Legendrian entry's VMRT diagrams are its Z diagrams: each
             # object is read back once but counted as before.  Z and VMRT
-            # texts are written from vmrt's classes; reading them back
-            # classifies afresh, so the row checks those classes too.
+            # texts are written from vmrt's classes; the reader classifies
+            # each text afresh and the read-back text is written from that,
+            # so the row checks vmrt's classes too.
             diagrams += 1 + len(v.z) + len(v.components)
             written = list(zip(v.z, zclasses))
             if v.components is not v.z:
                 written += zip(v.components, classes)
             for text in [to_canonical_text(kac)] + [_finite_canonical(d, k) for d, k in written]:
-                if to_canonical_text(parse(text)) != text:
+                back, back_classes = _read(text)
+                if (to_canonical_text(back) if back_classes is None
+                        else _finite_canonical(back, back_classes)) != text:
                     bad["round-trip"].append(f"{e.name}: {text!r}")
     heads = {
         "dimension-formula": ("dimension-formula", f"{count} entries, rank <= {max_rank}"),

@@ -75,6 +75,22 @@ MUTANTS: Tuple[Mutant, ...] = (
            " and _node_zero_key(f, n, twist) is not None",
            "",
            ("tests/test_oracles.py", "tests/test_render.py")),
+    # The reader hands over the classes of a finite text less its first
+    # component.
+    Mutant("read-drops-a-class", "parsing.py",
+           "return marked(d, p.crossed, p.ann), classes",
+           "return marked(d, p.crossed, p.ann), classes[1:]",
+           ("tests/test_render.py", "tests/test_verify.py", "tests/test_cli.py")),
+    # The reader hands over the classes of one half of a sigma text.
+    Mutant("read-sigma-hands-one-half", "parsing.py",
+           "return marked(d, p.crossed, p.ann, sorted(iso.items())), classes",
+           "return marked(d, p.crossed, p.ann, sorted(iso.items())), left",
+           ("tests/test_render.py", "tests/test_verify.py")),
+    # The ambient dimension of (G, P_lambda) is counted with Z's classes.
+    Mutant("ambient-dimension-given-z-classes", "verify.py",
+           "parabolic_dimension(gp.diagram, gp.crossed, classes[0])",
+           "parabolic_dimension(gp.diagram, gp.crossed, zclasses[0])",
+           ("tests/test_verify.py",)),
     # CII builds a row for every m, its mirror included.
     Mutant("cii-every-m", "atlas.py",
            '"CII": lambda n: range(1, n // 2 + 1),',

@@ -19,6 +19,17 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def hook_classify(monkeypatch):
+    """The diagrams classify is called on from now on, in every loaded
+    kacvmrt module."""
+    recognised = []
+    real = diagrams.classify
+    for module in [m for name, m in sys.modules.items() if name.startswith("kacvmrt")]:
+        if getattr(module, "classify", None) is real:
+            monkeypatch.setattr(module, "classify", lambda d: recognised.append(d) or real(d))
+    return recognised
+
+
 def test_vmrt_group_g(capsys):
     code, out, _ = run(capsys, "vmrt", "group-G")
     assert code == 0
@@ -37,6 +48,19 @@ def test_dim_parses_canonical_text(capsys):
     assert code == 0 and out.strip() == "13"
     code, out, _ = run(capsys, "dim", "o-x=>o")
     assert code == 0 and out.strip() == "7"
+
+
+def test_dim_classifies_its_diagram_once(capsys, monkeypatch):
+    # dim takes the reader's classes: one classify per text, sigma ones too.
+    import kacvmrt.parsing  # noqa: F401  (loaded, so that it is hooked too)
+
+    recognised = hook_classify(monkeypatch)
+    for text, want in (("o-x-o(o)-o", "13"), ("o-x=>o", "7"), ("x + x-o<=o", "6"),
+                       ("o-o-x + o-o-x ~sigma", "6"), ("", "0")):
+        recognised.clear()
+        assert main(["dim", text]) == 0, text
+        assert capsys.readouterr().out.strip() == want, text
+        assert len(recognised) == 1, text
 
 
 def test_dim_rejects_bad_input(capsys):
@@ -187,11 +211,7 @@ def test_entry_json_classifies_each_entry_once(monkeypatch):
     entries = cli.enumerate_entries(12)
     for e in entries:
         cli._entry_json(e)
-    recognised = []
-    real = diagrams.classify
-    for module in [m for name, m in sys.modules.items() if name.startswith("kacvmrt")]:
-        if getattr(module, "classify", None) is real:
-            monkeypatch.setattr(module, "classify", lambda d: recognised.append(d) or real(d))
+    recognised = hook_classify(monkeypatch)
     for e in entries:
         recognised.clear()
         cli._entry_json(e)

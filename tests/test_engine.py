@@ -5,7 +5,13 @@ import pytest
 from kacvmrt import diagrams, engine
 from kacvmrt.affine import MarkedKacDiagram, affine_diagram
 from kacvmrt.atlas import enumerate_entries, lookup
-from kacvmrt.diagrams import parabolic_dimension, standard_diagram, standard_marked
+from kacvmrt.diagrams import (
+    find_marked_isomorphism,
+    graded_dimensions,
+    parabolic_dimension,
+    standard_diagram,
+    standard_marked,
+)
 from kacvmrt.engine import (
     contact_grading_check,
     entry_folding_pair,
@@ -280,6 +286,35 @@ class TestContact:
     def test_requires_group_kind(self):
         with pytest.raises(ValueError, match="group type"):
             contact_grading_check(lookup("FII"))
+
+    def test_z_classes_give_the_same_grading(self):
+        # verify hands vmrt's Z classes to the contact check; the grading
+        # and the verdict are those of a fresh classify.
+        groups = 0
+        for e in enumerate_entries(30):
+            if e.kind != "group":
+                continue
+            groups += 1
+            v, zclasses, _ = engine._vmrt(e)
+            (z,), (zc,) = v.z, zclasses
+            dims = graded_dimensions(z.diagram, z.crossed)
+            assert graded_dimensions(z.diagram, z.crossed, zc) == dims, e.name
+            assert contact_grading_check(e, v, zc) == (max(dims) == 2 and dims[2] == 1), e.name
+        assert groups > 0
+
+
+def test_z_classes_give_the_same_orbit_isomorphism():
+    # verify matches the two Z diagrams of a Hermitian exceptional entry
+    # with vmrt's Z classes; the isomorphism is that of a fresh classify.
+    found = 0
+    for e in enumerate_entries(30):
+        if e.kind != "hermitian-exceptional":
+            continue
+        v, zclasses, _ = engine._vmrt(e)
+        iso = find_marked_isomorphism(*v.z, *zclasses)
+        assert iso is not None and iso == find_marked_isomorphism(*v.z), e.name
+        found += 1
+    assert found > 0
 
 
 class TestIdentify:

@@ -14,10 +14,12 @@ from kacvmrt.diagrams import (
     marked,
     standard_marked,
 )
-from kacvmrt.engine import vmrt, z_orbit_diagram
+from kacvmrt.engine import _vmrt, vmrt, z_orbit_diagram
+from kacvmrt.parsing import _read, read
 from kacvmrt.recognition import recognize_affine
 from kacvmrt.render import (
     ParseError,
+    _finite_canonical,
     parse,
     render,
     to_ascii,
@@ -200,6 +202,30 @@ def test_round_trip_over_pipeline_output():
         for d in diagrams:
             text = to_canonical_text(d)
             assert to_canonical_text(parse(text)) == text, (e.name, text)
+
+
+def test_reader_hands_its_classes_to_the_writer():
+    # Every Kac, affine, Z and VMRT text to rank 30: _read gives read's
+    # diagram and, for a finite one (sigma-paired too), the classes the
+    # writer takes; for an affine or Kac one, None.
+    texts = set()
+    for e in enumerate_entries(30):
+        kac = e.kac_diagram()
+        v, zclasses, classes = _vmrt(e)
+        texts.add(to_canonical_text(kac))
+        texts.add(to_canonical_text(kac.diagram))
+        texts.update(_finite_canonical(d, k) for d, k in zip(v.z + v.components, zclasses + classes))
+    finite = sigma = 0
+    for text in sorted(texts):
+        back, classes = _read(text)
+        assert to_canonical_text(back) == to_canonical_text(read(text)) == text
+        affine = isinstance(back, (AffineDiagram, MarkedKacDiagram))
+        assert (classes is None) == affine, text
+        if not affine:
+            finite += 1
+            sigma += back.sigma_pairs is not None
+            assert _finite_canonical(back, classes) == to_canonical_text(back), text
+    assert finite and sigma and len(texts) - finite
 
 
 def test_parse_sigma_requires_matching_halves():

@@ -2,11 +2,13 @@
 fixed order, its text is byte-stable, and its per-entry checks share one
 walk of the atlas that computes each entry's VMRT (and Z) once."""
 
+import collections
 import os
+import sys
 
 import pytest
 
-from kacvmrt import engine, verify
+from kacvmrt import diagrams, engine, parsing, verify
 from kacvmrt.atlas import SymmetricSpaceEntry, lookup
 from kacvmrt.verify import (
     check_component_structure,
@@ -125,10 +127,10 @@ def test_run_all_computes_one_vmrt_per_entry(monkeypatch, max_rank):
 
 def test_round_trip_reads_each_diagram_object_once(monkeypatch):
     # A Legendrian entry's VMRT diagrams are its Z diagrams: read back once,
-    # but counted in the row as before.
+    # but counted in the row as before.  The row reads through parsing._read.
     parsed = []
-    real_parse = verify.parse
-    monkeypatch.setattr(verify, "parse", lambda text: parsed.append(text) or real_parse(text))
+    real_read = parsing._read
+    monkeypatch.setattr(parsing, "_read", lambda text: parsed.append(text) or real_read(text))
     rows = {r.name: r for r in run_all(12)}
     once = counted = 0
     for e in verify.enumerate_entries(12):
@@ -137,3 +139,40 @@ def test_round_trip_reads_each_diagram_object_once(monkeypatch):
         counted += 1 + len(v.z) + len(v.components)
     assert len(parsed) == once < counted
     assert f"canonical round trip ({counted} diagrams)" in rows
+
+
+def test_run_all_classifies_each_diagram_once(monkeypatch):
+    # Per caller, the classify calls of a warm run_all(12): one per Z (its
+    # halves mark one diagram), one per finite text the round trip reads
+    # back, whose writer takes the reader's classes; and for the folding
+    # rows, the folded diagrams and the Z they are matched with.  The
+    # checks take vmrt's classes for everything else.
+    run_all(12)
+    entries = verify.enumerate_entries(12)
+    named = {lookup(label, params).name for label, params in
+             [(row.label, row.params) for row in verify.GOLDEN] + verify._FOLDING_CASES
+             + [row[:2] for row in verify._DIMENSION_ROWS + verify._FOLDING_DISPLAYS]}
+    read_back = 0
+    for e in entries:
+        v = engine.vmrt(e)
+        read_back += len(v.z) + (0 if v.components is v.z else len(v.components))
+    folds = [engine.entry_folding_pair(lookup(label, params)) for label, params in verify._FOLDING_CASES]
+    folds += [pair for _, _, pair, _, _ in verify._FOLDING_DISPLAYS]
+    calls = collections.Counter()
+    real = diagrams.classify
+
+    def classify(d):
+        calls[sys._getframe(1).f_code.co_name] += 1
+        return real(d)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("kacvmrt")]:
+        if getattr(module, "classify", None) is real:
+            monkeypatch.setattr(module, "classify", classify)
+    run_all(12)
+    assert calls == {
+        "_z_orbit": len({e.name for e in entries} | named),
+        "_read": read_back,
+        "fold": sum(2 if pair == "swap" else 1 for pair in folds),
+        "find_marked_isomorphism": 2 * len(verify._FOLDING_CASES),
+        "to_canonical_text": len(verify._FOLDING_DISPLAYS),
+    }
