@@ -30,6 +30,9 @@ from .render import _EDGE_TOKEN, Diagram, ParseError, _affine_canonical, _affine
 _EDGE_DECODE = {token: sig for sig, token in _EDGE_TOKEN.items()}
 _EDGE_DECODE.update({"=": (2, 0), "#": (3, 0)})
 _EDGE_ALTS = sorted(_EDGE_DECODE, key=len, reverse=True)
+# ASCII digits only: str.isdigit() also takes superscripts and other
+# scripts' digits.  peek() gives "" at the end, which is no member.
+_DIGITS = frozenset("0123456789")
 
 
 class _Parser:
@@ -79,13 +82,16 @@ class _Parser:
         if ch == "x" and self.peek() == "[":
             self.pos += 1
             start = self.pos
-            while self.peek().isdigit():
+            while self.peek() in _DIGITS:
                 self.pos += 1
             if self.pos == start:
                 raise self.error("expected digits in annotation")
             if self.peek() != "]":
                 raise self.error("expected ]")
-            ann = int(self.text[start:self.pos])
+            try:
+                ann = int(self.text[start:self.pos])
+            except ValueError:  # more digits than int() converts
+                raise ParseError("annotation is too long", start) from None
             self.pos += 1
             if ann < 2:
                 raise ParseError("annotation must be >= 2", start)
@@ -100,25 +106,35 @@ class _Parser:
 
     def parse_chain(self) -> Tuple[int, int, int]:
         """Parse node (branches)* (edge ...)*; returns the first and last
-        ids and the number of nodes on the chain, branches not counted."""
-        first = self.eat_node()
-        last, length = first, 1
+        ids and the number of nodes on the chain, branches not counted.
+        A branch pushes the chain it hangs off and pops it at its ), so
+        nesting depth costs no recursion."""
+        first = last = self.eat_node()
+        length = 1
+        open_chains: List[Tuple[int, int, int]] = []
         while True:
-            while self.peek() == "(":
+            if self.peek() == "(":
                 self.pos += 1
-                sub_first, _, _ = self.parse_chain()
-                if self.peek() != ")":
-                    raise self.error("expected )")
-                self.pos += 1
-                self.add_edge(last, sub_first, 1, 0, self.pos)
+                open_chains.append((first, last, length))
+                first = last = self.eat_node()
+                length = 1
+                continue
             bond = self.pos
             edge = self.try_edge()
-            if edge is None:
+            if edge is not None:
+                mult, rel = edge
+                nxt = self.eat_node()
+                self.add_edge(last, nxt, mult, rel, bond)
+                last, length = nxt, length + 1
+                continue
+            if not open_chains:
                 return first, last, length
-            mult, rel = edge
-            nxt = self.eat_node()
-            self.add_edge(last, nxt, mult, rel, bond)
-            last, length = nxt, length + 1
+            if self.peek() != ")":
+                raise self.error("expected )")
+            self.pos += 1
+            branch = first
+            first, last, length = open_chains.pop()
+            self.add_edge(last, branch, 1, 0, self.pos)
 
     def parse(self) -> None:
         if not self.text:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .affine import AffineDiagram, _twisted_shape, _untwisted_edges, affine_diagram, affine_node_count
+from .affine import AffineDiagram, _kac_shape, affine_diagram, affine_node_count
 from .atlas import MAX_RANK
 from .diagrams import DynkinDiagram, Edge, UnrecognizedDiagram, _edge_signature, classify, diagram_automorphisms
 from .roots import CartanType
@@ -89,17 +89,14 @@ def affine_automorphisms(a: AffineDiagram) -> Tuple[Tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _node_zero_key(family: str, rank: int, twist: int) -> Optional[tuple]:
-    """Node 0's deletion key, from the catalogue's edges alone; None if
-    there is no such affine type."""
+    """Node 0's deletion key, read off the type's Kac shape; None if there
+    is no such affine type."""
     try:
-        base = CartanType(family, rank)
-        if twist == 1:
-            t, edges = base, _untwisted_edges(base)
-        else:
-            _, edges, _, t = _twisted_shape(base, twist)
+        t, bonds, _ = _kac_shape(CartanType(family, rank), twist)
     except ValueError:
         return None
-    return _key(t, tuple(sorted([(e.other(0),) + _edge_signature(e, 0) for e in edges if 0 in (e.a, e.b)])))
+    att = [(i,) + _edge_signature(Edge(0, i, mult, short), 0) for i, mult, short in bonds]
+    return _key(t, tuple(sorted(att)))
 
 
 @lru_cache(maxsize=MAX_RANK + 1)

@@ -164,20 +164,6 @@ def simple_edges(t: CartanType) -> Tuple[SimpleEdge, ...]:
     return ((1, 2, 3, 1),)  # G2: alpha_1 short
 
 
-def simple_norms(t: CartanType) -> Tuple[int, ...]:
-    """Squared lengths |alpha_i|^2, normalised so short roots have norm 2."""
-    n, f = t.rank, t.family
-    if f == "B":
-        return tuple([4] * (n - 1) + [2])
-    if f == "C":
-        return tuple([2] * (n - 1) + [4])
-    if f == "F":
-        return (4, 4, 2, 2)
-    if f == "G":
-        return (2, 6)
-    return tuple([2] * n)
-
-
 def _cartan_from_bonds(n: int, bonds: Iterable[Tuple[int, int, int, Optional[int]]]
                        ) -> Tuple[Tuple[int, ...], ...]:
     """a[i][j] = <alpha_i, alpha_j^vee> on nodes 0..n-1 from bonds (i, j,

@@ -91,6 +91,21 @@ MUTANTS: Tuple[Mutant, ...] = (
            "parabolic_dimension(gp.diagram, gp.crossed, classes[0])",
            "parabolic_dimension(gp.diagram, gp.crossed, zclasses[0])",
            ("tests/test_verify.py",)),
+    # B_2^(1)'s node-0 bond points its arrow at node 0.
+    Mutant("b2-node-zero-short-end-on-0", "affine.py",
+           "bonds = ((2, 2, 2),)",
+           "bonds = ((2, 2, 0),)",
+           ("tests/test_affine.py",)),
+    # The null check sums each bond one way only, dropping <alpha_b, alpha_a^vee>.
+    Mutant("null-check-one-way", "affine.py",
+           "        column[e.a] += labels[e.b] * _pairing(e, e.a)\n",
+           "",
+           ("tests/test_affine.py",)),
+    # Node 0's deletion key reads its bonds from the far end.
+    Mutant("node-zero-key-seen-from-far-end", "recognition.py",
+           "_edge_signature(Edge(0, i, mult, short), 0)",
+           "_edge_signature(Edge(0, i, mult, short), i)",
+           ("tests/test_affine.py",)),
     # CII builds a row for every m, its mirror included.
     Mutant("cii-every-m", "atlas.py",
            '"CII": lambda n: range(1, n // 2 + 1),',

@@ -1,12 +1,30 @@
 """Root-system functions that only the tests use, kept as oracles beside
 them: root lengths, the highest short root, the -w0 diagram automorphism,
-the sign and support of a root, and dim Z from a Z diagram alone."""
+the sign and support of a root, dim Z from a Z diagram alone, the affine
+Cartan matrix, and the affine diagrams as derived from the highest root
+and transcribed edge by edge."""
 
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from kacvmrt.diagrams import MarkedDynkinDiagram, parabolic_dimension
-from kacvmrt.roots import CartanType, Root, cartan_matrix, positive_roots, simple_norms
+from kacvmrt.affine import AffineDiagram
+from kacvmrt.diagrams import Edge, MarkedDynkinDiagram, _edge_signature, parabolic_dimension, standard_diagram
+from kacvmrt.recognition import _key
+from kacvmrt.roots import CartanType, Root, _cartan_from_bonds, cartan_matrix, highest_root, positive_roots
+
+
+def simple_norms(t: CartanType) -> Tuple[int, ...]:
+    """Squared lengths |alpha_i|^2, normalised so short roots have norm 2."""
+    n, f = t.rank, t.family
+    if f == "B":
+        return tuple([4] * (n - 1) + [2])
+    if f == "C":
+        return tuple([2] * (n - 1) + [4])
+    if f == "F":
+        return (4, 4, 2, 2)
+    if f == "G":
+        return (2, 6)
+    return tuple([2] * n)
 
 
 def is_positive(r: Root) -> bool:
@@ -67,3 +85,92 @@ def z_dimension(z: MarkedDynkinDiagram) -> int:
         left = z.sigma_left_nodes()
         return parabolic_dimension(z.diagram.restrict(left), z.crossed & left)
     return parabolic_dimension(z.diagram, z.crossed)
+
+
+def affine_cartan_matrix(a: AffineDiagram) -> Tuple[Tuple[int, ...], ...]:
+    """Affine Cartan matrix m[i][j] = <alpha_i, alpha_j^vee> by node id."""
+    return _cartan_from_bonds(a.num_nodes, [(e.a, e.b, e.mult, e.short) for e in a.edges])
+
+
+def untwisted_edges(base: CartanType) -> List[Edge]:
+    """The edges of base^(1): node 0 is -theta, bonded to each alpha_i by
+    the pairings of theta with alpha_i over a whole Cartan-matrix column."""
+    n = base.rank
+    edges = [e for e in standard_diagram(base).edges]
+    theta = highest_root(base)
+    a = cartan_matrix(base)
+    norms = simple_norms(base)
+    theta_norm = max(norms)  # theta is long
+    for i in range(1, n + 1):
+        p = sum(theta.coeffs[j] * a[j][i - 1] for j in range(n))  # <theta, alpha_i^vee>
+        if p == 0:
+            continue
+        # <alpha_i, theta^vee> = 2(alpha_i, theta)/|theta|^2
+        gram_col = sum(theta.coeffs[j] * (a[j][i - 1] * norms[i - 1]) // 2 for j in range(n))
+        q = 2 * gram_col // theta_norm
+        mult = p * q
+        if mult == 1:
+            edges.append(Edge(0, i, 1, None))
+        elif mult == 4:  # A_1^(1): both pairings -2, no direction
+            edges.append(Edge(0, i, 4, None))
+        else:
+            edges.append(Edge(0, i, mult, i))  # alpha_i short, -theta long
+    return edges
+
+
+def twisted_shape(base: CartanType, twist: int) -> Tuple[List[int], List[Edge], Tuple[int, ...], CartanType]:
+    """Twisted shapes transcribed edge by edge (Kac, Tables Aff 2/3):
+    (nodes, edges, labels, type of the finite part)."""
+    f, n = base.family, base.rank
+    if twist == 3:
+        if (f, n) != ("D", 4):
+            raise ValueError("no such twisted type")
+        return [0, 1, 2], [Edge(0, 1, 1), Edge(1, 2, 3, 1)], (1, 2, 1), CartanType("G", 2)
+    if twist != 2:
+        raise ValueError("no such twisted type")
+    if f == "A" and n == 2:
+        return [0, 1], [Edge(0, 1, 4, 1)], (1, 2), CartanType("A", 1)
+    if f == "A" and n == 3:
+        # A_3^(2) = D_3^(2): chain with outward arrows, finite part C_2 = B_2.
+        return [0, 1, 2], [Edge(0, 1, 2, 0), Edge(1, 2, 2, 2)], (1, 1, 1), CartanType("B", 2)
+    if f == "A" and n >= 4 and n % 2 == 0:
+        l = n // 2
+        edges = [Edge(0, 1, 2, 1)]
+        edges += [Edge(i, i + 1, 1) for i in range(1, l - 1)]
+        edges.append(Edge(l - 1, l, 2, l))
+        return list(range(l + 1)), edges, (1,) + (2,) * l, CartanType("B", l)
+    if f == "A" and n >= 5 and n % 2 == 1:
+        l = (n + 1) // 2
+        edges = [Edge(0, 2, 1), Edge(1, 2, 1)]
+        edges += [Edge(i, i + 1, 1) for i in range(2, l - 1)]
+        edges.append(Edge(l - 1, l, 2, l - 1))
+        return list(range(l + 1)), edges, (1, 1) + (2,) * (l - 2) + (1,), CartanType("C", l)
+    if f == "D" and n >= 3:
+        l = n - 1
+        edges = [Edge(0, 1, 2, 0)]
+        edges += [Edge(i, i + 1, 1) for i in range(1, l - 1)]
+        edges.append(Edge(l - 1, l, 2, l))
+        return list(range(l + 1)), edges, (1,) * (l + 1), CartanType("B", l)
+    if f == "E" and n == 6:
+        edges = [Edge(1, 2, 1), Edge(2, 3, 2, 3), Edge(3, 4, 1), Edge(0, 4, 1)]
+        return [0, 1, 2, 3, 4], edges, (1, 1, 2, 3, 2), CartanType("F", 4)
+    raise ValueError("no such twisted type")
+
+
+def reference_shape(base: CartanType, twist: int) -> Tuple[Tuple[int, ...], frozenset, Tuple[int, ...], CartanType]:
+    """(nodes, edges, labels, finite type) of base^(twist) from the two
+    references above."""
+    if twist == 1:
+        return tuple(range(base.rank + 1)), frozenset(untwisted_edges(base)), (1,) + highest_root(base).coeffs, base
+    nodes, edges, labels, finite = twisted_shape(base, twist)
+    return tuple(nodes), frozenset(edges), labels, finite
+
+
+def reference_node_zero_key(family: str, rank: int, twist: int) -> Optional[tuple]:
+    """Node 0's deletion key from the reference edges; None if there is no
+    such affine type."""
+    try:
+        _, edges, _, t = reference_shape(CartanType(family, rank), twist)
+    except ValueError:
+        return None
+    return _key(t, tuple(sorted([(e.other(0),) + _edge_signature(e, 0) for e in edges if 0 in (e.a, e.b)])))

@@ -13,8 +13,11 @@ from kacvmrt.affine import (
     kac_labels,
     validate_kac_marking,
 )
-from kacvmrt.diagrams import classify
+from kacvmrt.atlas import MAX_RANK
+from kacvmrt.diagrams import Edge, classify
+from kacvmrt.recognition import _node_zero_key
 from kacvmrt.roots import CartanType, highest_root
+from root_oracles import affine_cartan_matrix, reference_node_zero_key, reference_shape
 
 
 def _null_labels(a):
@@ -74,8 +77,58 @@ ALL_SHAPES = (
 @pytest.mark.parametrize("base,twist", ALL_SHAPES, ids=lambda x: str(x))
 def test_closed_form_labels_match_elimination_oracle(base, twist):
     a = affine_diagram(base, twist)
-    assert a.labels == _null_labels(a.cartan_matrix())
+    assert a.labels == _null_labels(affine_cartan_matrix(a))
     assert affine_node_count(base.family, base.rank, twist) == a.num_nodes
+
+
+# Every affine shape of at most MAX_RANK + 1 nodes.
+SHAPES_TO_MAX_RANK = (
+    [(CartanType(f, n), 1) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+     for n in range(lo, MAX_RANK + 1)]
+    + [(CartanType("E", n), 1) for n in (6, 7, 8)]
+    + [(CartanType("F", 4), 1), (CartanType("G", 2), 1)]
+    + [(CartanType("A", n), 2) for n in range(2, 2 * MAX_RANK + 2)]
+    + [(CartanType("D", n), 2) for n in range(3, MAX_RANK + 2)]
+    + [(CartanType("E", 6), 2), (CartanType("D", 4), 3)]
+)
+
+
+def test_construction_matches_reference_shapes():
+    """Finite part plus node 0's bonds gives the nodes, edges and labels of
+    the theta-pairing derivation (untwisted) and of the transcribed edge
+    lists (twisted), on every shape to MAX_RANK."""
+    assert len(SHAPES_TO_MAX_RANK) == 702
+    for base, twist in SHAPES_TO_MAX_RANK:
+        a = affine_diagram(base, twist)
+        nodes, edges, labels, _ = reference_shape(base, twist)
+        assert (a.nodes, a.edges, a.labels) == (nodes, edges, labels), (base, twist)
+        assert affine_node_count(base.family, base.rank, twist) == a.num_nodes
+
+
+def test_node_zero_key_matches_reference():
+    """Node 0's deletion key of every candidate type of 2 to MAX_RANK + 1
+    nodes, None where there is no such type."""
+    for r in range(1, MAX_RANK + 1):
+        order = [(f, r, 1) for f in "ABCDEFG"] + [
+            ("A", 2 * r, 2), ("A", 2 * r - 1, 2), ("D", r + 1, 2), ("E", 6, 2), ("D", 4, 3)]
+        for f, n, twist in order:
+            assert _node_zero_key(f, n, twist) == reference_node_zero_key(f, n, twist), (f, n, twist)
+
+
+def _rebonded(a, old, new):
+    """a with the edge old replaced by new, labels kept."""
+    return AffineDiagram(a.base, a.twist, a.nodes, (a.edges - {old}) | {new}, a.labels)
+
+
+def test_null_check_rejects_wrong_node_zero_bond():
+    e8 = affine_diagram(CartanType("E", 8), 1)
+    assert Edge(0, 8) in e8.edges
+    with pytest.raises(AssertionError, match="null vector"):
+        kac_labels(_rebonded(e8, Edge(0, 8), Edge(0, 1)))
+    b2 = affine_diagram(CartanType("B", 2), 1)  # o=>o<=o, node 2 short
+    assert Edge(0, 2, 2, 2) in b2.edges
+    with pytest.raises(AssertionError, match="null vector"):
+        kac_labels(_rebonded(b2, Edge(0, 2, 2, 2), Edge(0, 2, 2, 0)))
 
 
 def test_null_check_rejects_wrong_labels():
@@ -143,7 +196,7 @@ def test_labels_are_null_vector():
                      (CartanType("E", 8), 1), (CartanType("G", 2), 1),
                      (CartanType("D", 4), 3)]:
         a = affine_diagram(base, tw)
-        m = a.cartan_matrix()
+        m = affine_cartan_matrix(a)
         n = a.num_nodes
         for j in range(n):
             assert sum(a.labels[i] * m[i][j] for i in range(n)) == 0

@@ -74,6 +74,12 @@ def test_dim_rejects_bad_input(capsys):
                    " MAX_RANK + 1 = 101 nodes\n")
 
 
+def test_dim_reads_deeply_nested_branches(capsys):
+    # A_5001 with its last node crossed: P^5001.
+    code, out, err = run(capsys, "dim", "o(" * 5000 + "x" + ")" * 5000)
+    assert (code, out, err) == (0, "5001\n", "")
+
+
 def test_fold_command(capsys):
     code, out, err = run(capsys, "fold", "ef", "o-o-o(o)-o-x", "--format", "canonical")
     assert (code, out, err) == (0, "o-o=>o-x\n", "")

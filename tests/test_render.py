@@ -120,6 +120,10 @@ class TestParse:
         # a cycle of two nodes would close on its own bond again
         ("@o-o", 0),
         ("o + @O=>o(o)", 4),
+        # annotations take ASCII digits only, and no more than int() converts
+        ("x[\u00b2]", 2),
+        ("x[\u0663]-o", 2),
+        pytest.param("x[" + "9" * 5000 + "]", 2, id="x[9*5000]"),
     ])
     def test_errors_carry_positions(self, bad, offset):
         with pytest.raises(ParseError) as err:
@@ -252,6 +256,15 @@ def test_empty_diagram_round_trips():
     text = to_canonical_text(z)
     assert text == ""
     assert to_canonical_text(parse(text)) == text
+
+
+def test_deeply_nested_branches_read_as_the_flat_chain():
+    # Each ( opens a branch on the node before it, so this is a chain of
+    # 5,001 nodes; the reader keeps its open branches on a stack, not on
+    # the recursion.
+    depth = 5000
+    flat = "-".join(["o"] * (depth + 1))
+    assert to_canonical_text(parse("o(" * depth + "o" + ")" * depth)) == to_canonical_text(parse(flat))
 
 
 def test_affine_input_is_bounded():
