@@ -1,89 +1,52 @@
 """Marked Dynkin diagrams of varieties of minimal rational tangents on
 wonderful compactifications of adjoint symmetric spaces, computed from
-marked Kac diagrams."""
+marked Kac diagrams.
+
+The public names load their home module on first use (PEP 562), so that
+`import kacvmrt` compiles only what its caller runs.
+"""
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .affine import (
-    AffineDiagram,
-    MarkedKacDiagram,
-    affine_diagram,
-    kac_labels,
-    validate_kac_marking,
-)
-from .atlas import (
-    RestrictedType,
-    SymmetricSpaceEntry,
-    enumerate_entries,
-    kac_diagram,
-    lookup,
-)
-from .diagrams import (
-    DynkinDiagram,
-    Edge,
-    MarkedDynkinDiagram,
-    classify,
-    graded_dimensions,
-    marked,
-    parabolic_dimension,
-    standard_diagram,
-    standard_marked,
-)
-from .engine import (
-    VMRTDescription,
-    contact_grading_check,
-    fold,
-    fold_consistency,
-    identify,
-    vmrt,
-    z_orbit_diagram,
-)
-from .render import parse, render, to_ascii, to_canonical_text, to_dot, to_json, to_latex
-from .roots import (
-    CartanType,
-    Root,
-    cartan_matrix,
-    highest_root,
-    positive_roots,
-)
+# Imported now, not on first use: the first import of the submodule
+# kacvmrt.render sets the package attribute `render` to that module, and
+# this import binds it back to the function.  It also loads roots,
+# diagrams and affine.
+from .render import render
 
-__all__ = [
-    "AffineDiagram",
-    "CartanType",
-    "DynkinDiagram",
-    "Edge",
-    "MarkedDynkinDiagram",
-    "MarkedKacDiagram",
-    "RestrictedType",
-    "Root",
-    "SymmetricSpaceEntry",
-    "VMRTDescription",
-    "affine_diagram",
-    "cartan_matrix",
-    "classify",
-    "contact_grading_check",
-    "enumerate_entries",
-    "fold",
-    "fold_consistency",
-    "graded_dimensions",
-    "highest_root",
-    "identify",
-    "kac_diagram",
-    "kac_labels",
-    "lookup",
-    "marked",
-    "parabolic_dimension",
-    "parse",
-    "positive_roots",
-    "render",
-    "standard_diagram",
-    "standard_marked",
-    "to_ascii",
-    "to_canonical_text",
-    "to_dot",
-    "to_json",
-    "to_latex",
-    "validate_kac_marking",
-    "vmrt",
-    "z_orbit_diagram",
-]
+# The home module of each public name.
+_HOME = {
+    name: module
+    for module, names in (
+        ("affine", ("AffineDiagram", "MarkedKacDiagram", "affine_diagram", "kac_labels",
+                    "validate_kac_marking")),
+        ("atlas", ("RestrictedType", "SymmetricSpaceEntry", "enumerate_entries", "kac_diagram",
+                   "lookup")),
+        ("diagrams", ("DynkinDiagram", "Edge", "MarkedDynkinDiagram", "classify", "graded_dimensions",
+                      "marked", "parabolic_dimension", "standard_diagram", "standard_marked")),
+        ("engine", ("VMRTDescription", "contact_grading_check", "fold_consistency", "identify", "vmrt",
+                    "z_orbit_diagram")),
+        ("folding", ("fold",)),
+        ("presentation", ("to_ascii", "to_dot", "to_latex")),
+        ("render", ("parse", "render", "to_canonical_text", "to_json")),
+        ("roots", ("CartanType", "Root", "cartan_matrix", "highest_root", "positive_roots")),
+    )
+    for name in names
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    # Not stored here: a name gives whatever its home module holds now, a
+    # wrapper or a patch included.
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

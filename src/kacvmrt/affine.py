@@ -25,6 +25,10 @@ from typing import FrozenSet, Iterable, Optional, Tuple
 from .diagrams import DynkinDiagram, Edge, standard_diagram
 from .roots import CartanType, Record, highest_root
 
+# The largest rank the package handles: the atlas lists, and the reader
+# accepts, affine diagrams of at most MAX_RANK + 1 nodes.
+MAX_RANK = 100
+
 # A bond of node 0: (Bourbaki index of the node it meets, multiplicity,
 # short end: 0, that index, or None for a bond without an arrow).
 Bond = Tuple[int, int, Optional[int]]

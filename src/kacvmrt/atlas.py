@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .affine import MarkedKacDiagram, affine_diagram, affine_node_count, validate_kac_marking
+from .affine import MAX_RANK, MarkedKacDiagram, affine_diagram, affine_node_count, validate_kac_marking
 from .roots import CartanType, OrderedRecord, Record
 
 class RestrictedType(OrderedRecord):
@@ -463,9 +463,6 @@ def _family_instances(label: str, max_nodes: int) -> Iterable[SymmetricSpaceEntr
                 continue
             yield e
         n += 1
-
-
-MAX_RANK = 100
 
 
 def enumerate_entries(max_rank: int) -> Tuple[SymmetricSpaceEntry, ...]:

@@ -13,10 +13,14 @@ import sys
 from typing import List, Optional, Tuple
 
 from . import __version__
-from .atlas import MAX_RANK, enumerate_entries, lookup
+from .affine import MAX_RANK
 from .diagrams import Classes, MarkedDynkinDiagram, parabolic_dimension
-from .engine import FOLDING_PAIRS, _vmrt, _z_orbit, fold, vmrt
+from .folding import FOLDING_PAIRS, fold
 from .render import FORMATS, _finite_canonical, render, to_canonical_text
+
+# Each command imports the modules that only it needs (the atlas, the engine,
+# the reader, the sweep) in its own branch, so a fresh process compiles
+# no module its command does not run.
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,7 +80,7 @@ def _params(args) -> dict:
 def _finite_marked(args) -> Tuple[MarkedDynkinDiagram, Classes]:
     """The diagram that dim and fold read, which must be finite and marked,
     and the classes the reader found for it."""
-    from .parsing import _read  # as render.parse: only dim and fold read
+    from .parsing import _read
 
     d, classes = _read(args.diagram)
     if not isinstance(d, MarkedDynkinDiagram):
@@ -86,6 +90,8 @@ def _finite_marked(args) -> Tuple[MarkedDynkinDiagram, Classes]:
 
 def _entry_json(e) -> dict:
     # The Z and VMRT texts are written from the classes vmrt already holds.
+    from .engine import _vmrt
+
     v, zclasses, classes = _vmrt(e)
     z = [_finite_canonical(c, k) for c, k in zip(v.z, zclasses)]
     vmrt_texts = z if v.components is v.z else [_finite_canonical(c, k) for c, k in zip(v.components, classes)]
@@ -136,17 +142,24 @@ def _dispatch(args) -> int:
         raise ValueError(f"--max-rank must lie between 2 and {MAX_RANK}")
 
     if args.command == "list":
+        from .atlas import enumerate_entries
+
         for e in enumerate_entries(args.max_rank):
             print(f"{e.name:24s} {e.kind:26s} {e.g_desc} / {e.h_desc}"
                   f"  [restricted {e.restricted}, boundary {e.boundary_degree}]")
         return 0
 
     if args.command == "kac":
+        from .atlas import lookup
+
         e = lookup(args.label, _params(args))
         print(render(e.kac_diagram(), args.format))
         return 0
 
     if args.command == "zorbit":
+        from .atlas import lookup
+        from .engine import _z_orbit
+
         e = lookup(args.label, _params(args))
         zs, zdim, name, _ = _z_orbit(e.kac_diagram(), e.kind)
         for z in zs:
@@ -156,6 +169,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "vmrt":
+        from .atlas import lookup
+        from .engine import vmrt
+
         e = lookup(args.label, _params(args))
         v = vmrt(e)
         print(f"{v.identification}, dim {v.dimension}")
@@ -171,18 +187,21 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "fold":
-        print(render(fold(_finite_marked(args)[0], args.pair), args.format))
+        d, classes = _finite_marked(args)
+        print(render(fold(d, args.pair, classes), args.format))
         return 0
 
     if args.command == "verify":
-        # Imported here: the other commands need none of the sweep.
         from .verify import format_results, run_all
+
         results = run_all(args.max_rank)
         print(format_results(results))
         return 0 if all(r.status != "FAIL" for r in results) else 1
 
     if args.command == "export-atlas":
         import json
+
+        from .atlas import enumerate_entries
 
         entries = [_entry_json(e) for e in enumerate_entries(args.max_rank)]
         payload = json.dumps({"max_rank": args.max_rank, "entries": entries}, indent=1)

@@ -126,6 +126,11 @@ def standard_diagram(t: CartanType, ids: Optional[Sequence[int]] = None) -> Dynk
     return DynkinDiagram(tuple(ids), frozenset(edges))
 
 
+def _bourbaki(t: CartanType, first: int = 1) -> Tuple[CartanType, Dict[int, int]]:
+    """The class of standard_diagram(t) on the ids first, first + 1, ..."""
+    return t, {first + i: i + 1 for i in range(t.rank)}
+
+
 class UnrecognizedDiagram(ValueError):
     pass
 
@@ -393,10 +398,6 @@ class MarkedDynkinDiagram(Record):
             self.crossed & keep_set,
             tuple([(k, v) for k, v in self.annotations if k in keep_set]),
         )
-
-    def component_marked(self) -> Tuple["MarkedDynkinDiagram", ...]:
-        """Split into per-component marked diagrams (sigma pairing dropped)."""
-        return tuple([self.restrict(comp) for comp in self.diagram.components()])
 
     def sigma_left_nodes(self) -> FrozenSet[int]:
         if self.sigma_pairs is None:

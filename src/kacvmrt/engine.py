@@ -4,8 +4,8 @@ This is the heart of the package: the four-step diagram procedure (cross
 the neighbours of a white node, record bond degrees, delete whites, pair
 the halves for non-exceptional Hermitian spaces), the dimension bookkeeping
 dim C = dim Z + (boundary degree) - 1, the restricted-type-A branch with
-its ambient pair (G, P_lambda), diagram folding, and the naming of the
-resulting rational homogeneous spaces.
+its ambient pair (G, P_lambda), the folding checks, and the naming of the
+resulting rational homogeneous spaces.  Folding itself is in folding.py.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .diagrams import (
     DynkinDiagram,
     Edge,
     MarkedDynkinDiagram,
+    _bourbaki,
     classify,
     find_marked_isomorphism,
     graded_dimensions,
@@ -27,6 +28,7 @@ from .diagrams import (
     standard_diagram,
     standard_marked,
 )
+from .folding import _fold
 from .roots import CartanType, Record
 
 
@@ -185,11 +187,6 @@ class VMRTDescription(Record):
         self._set(kind, components, dimension, identification, z, z_dim, ambient_note)
 
 
-def _bourbaki(t: CartanType, first: int = 1) -> Tuple[CartanType, Dict[int, int]]:
-    """The class of standard_diagram(t) on the ids first, first + 1, ..."""
-    return t, {first + i: i + 1 for i in range(t.rank)}
-
-
 def _type_a_table(e: SymmetricSpaceEntry) -> Tuple[MarkedDynkinDiagram, Classes, str]:
     """The pair (G, P_lambda) for restricted type A_r, r >= 2, and the
     classes of its diagram, known from the Bourbaki types it is built of."""
@@ -262,103 +259,7 @@ def _vmrt(e: SymmetricSpaceEntry) -> Tuple[VMRTDescription, Tuple[Classes, ...],
 
 
 # ---------------------------------------------------------------------------
-# Folding
-
-FOLDING_PAIRS = {
-    "ab": "A_2l -> B_l (includes A_2 -> A_1)",
-    "ac": "A_2l-1 -> C_l",
-    "db": "D_l+1 -> B_l",
-    "ef": "E_6 -> F_4",
-    "swap": "D + D -> D (exchange of two identical components)",
-}
-
-
-def _fold_orbits(pair: str, t: CartanType) -> Tuple[CartanType, Dict[int, int], set]:
-    """Target type, orbit map (source Bourbaki index -> target index), and
-    the set of target nodes coming from an adjacent source pair."""
-    n = t.rank
-    if pair == "ab":
-        if t.family != "A" or n % 2 != 0:
-            raise ValueError(f"pair ab needs type A_2l, got {t}")
-        l = n // 2
-        target = CartanType("A", 1) if l == 1 else CartanType("B", l)
-        orbit = {i: min(i, n + 1 - i) for i in range(1, n + 1)}
-        return target, orbit, {l}  # the middle orbit {l, l+1} is adjacent
-    if pair == "ac":
-        if t.family != "A" or n % 2 != 1 or n < 3:
-            raise ValueError(f"pair ac needs type A_2l-1 (l >= 2), got {t}")
-        l = (n + 1) // 2
-        target = CartanType("B", 2) if l == 2 else CartanType("C", l)
-        orbit = {i: min(i, n + 1 - i) for i in range(1, n + 1)}
-        if l == 2:  # B_2 canonical form: the fixed (long) node is alpha_...
-            # A_3 -> C_2: orbit {1,3} -> short root, {2} -> long root.
-            # In B_2 canonical labels the short root is alpha_2.
-            orbit = {1: 2, 3: 2, 2: 1}
-        return target, orbit, set()
-    if pair == "db":
-        if t.family != "D":
-            raise ValueError(f"pair db needs type D_l+1, got {t}")
-        l = n - 1
-        target = CartanType("B", l)
-        orbit = {i: i for i in range(1, n - 1)}
-        orbit[n - 1] = orbit[n] = l
-        return target, orbit, set()
-    if pair == "ef":
-        if t != CartanType("E", 6):
-            raise ValueError(f"pair ef needs type E_6, got {t}")
-        return CartanType("F", 4), {2: 1, 4: 2, 3: 3, 5: 3, 1: 4, 6: 4}, set()
-    raise ValueError(f"unknown folding pair {pair!r}")
-
-
-def fold(v: MarkedDynkinDiagram, pair: str) -> MarkedDynkinDiagram:
-    """Quotient a marked diagram by the named order-2 folding.
-
-    Crossings pass to node orbits; degree annotations are carried along and
-    double on an orbit of two adjacent nodes (the restricted root there is
-    the sum of the pair, so embedding degrees compose).
-    """
-    if v.sigma_pairs is not None:
-        raise ValueError("cannot fold a sigma-paired diagram")
-    if pair == "swap":
-        comps = v.component_marked()
-        if len(comps) != 2:
-            raise ValueError("swap folding needs exactly two components")
-        c1, c2 = comps
-        (t1, map1), = classify(c1.diagram)
-        (t2, map2), = classify(c2.diagram)
-        if t1 != t2:
-            raise ValueError("swap folding needs two copies of one diagram")
-        # Align by Bourbaki index and take the union of the markings.
-        inv1 = {i: x for x, i in map1.items()}
-        crossed = set(c1.crossed) | {inv1[map2[x]] for x in c2.crossed}
-        ann: Dict[int, int] = dict(c1.annotations)
-        for x, d in c2.annotations:
-            tgt = inv1[map2[x]]
-            if ann.get(tgt, d) != d:
-                raise ValueError("conflicting annotations under swap folding")
-            ann[tgt] = d
-        return marked(c1.diagram, crossed, ann)
-
-    comps = classify(v.diagram)
-    if len(comps) != 1:
-        raise ValueError(f"pair {pair} folds a connected diagram")
-    (t, mapping), = comps
-    target, orbit, adjacent = _fold_orbits(pair, t)
-    crossed = set()
-    ann: Dict[int, int] = {}
-    annotation = v.annotation_map
-    for x in v.crossed:
-        o = orbit[mapping[x]]
-        crossed.add(o)
-        d = annotation.get(x, 1)
-        if o in adjacent:
-            d *= 2
-        if o in ann and ann[o] != d:
-            raise ValueError("conflicting annotations in one orbit")
-        ann[o] = d
-    ann = {o: d for o, d in ann.items() if d >= 2}
-    return standard_marked(target, crossed, ann)
-
+# Folding checks
 
 _FOLD_PAIR_BY_LABEL = {"group-A": "swap", "AI": "ab", "AII": "ac", "EIV": "ef"}
 
@@ -375,14 +276,17 @@ def entry_folding_pair(e: SymmetricSpaceEntry) -> str:
     return pair
 
 
-def fold_consistency(e: SymmetricSpaceEntry, v: Optional[VMRTDescription] = None) -> bool:
+def fold_consistency(e: SymmetricSpaceEntry, v: Optional[VMRTDescription] = None,
+                     classes: Optional[Classes] = None, zclasses: Optional[Classes] = None) -> bool:
     """Does folding the ambient VMRT diagram reproduce the Z diagram?  v is
-    vmrt(e) when the caller has it."""
+    vmrt(e) when the caller has it, and classes and zclasses, if given, are
+    the classes of its ambient and Z diagrams, as _vmrt gives them."""
     pair = entry_folding_pair(e)
     if v is None:
-        v = vmrt(e)
+        v, (zclasses,), (classes,) = _vmrt(e)
     (z,) = v.z
-    return find_marked_isomorphism(fold(v.components[0], pair), z) is not None
+    folded, folded_classes = _fold(v.components[0], pair, classes)
+    return find_marked_isomorphism(folded, z, folded_classes, zclasses) is not None
 
 
 def contact_grading_check(e: SymmetricSpaceEntry, v: Optional[VMRTDescription] = None,

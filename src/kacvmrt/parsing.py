@@ -8,8 +8,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .affine import MarkedKacDiagram, affine_diagram
-from .atlas import MAX_RANK
+from .affine import MAX_RANK, MarkedKacDiagram, affine_diagram
 from .diagrams import (
     Classes,
     DynkinDiagram,

@@ -15,8 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .affine import AffineDiagram, _kac_shape, affine_diagram, affine_node_count
-from .atlas import MAX_RANK
+from .affine import MAX_RANK, AffineDiagram, _kac_shape, affine_diagram, affine_node_count
 from .diagrams import DynkinDiagram, Edge, UnrecognizedDiagram, _edge_signature, classify, diagram_automorphisms
 from .roots import CartanType
 

@@ -18,7 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .affine import affine_diagram, kac_labels, validate_kac_marking
 from .atlas import SymmetricSpaceEntry, enumerate_entries, lookup
 from .diagrams import Classes, MarkedDynkinDiagram, find_marked_isomorphism, parabolic_dimension
-from .engine import VMRTDescription, _vmrt, contact_grading_check, fold, fold_consistency
+from .engine import VMRTDescription, _vmrt, contact_grading_check, fold_consistency
+from .folding import _fold
 from .render import _finite_canonical, to_canonical_text
 from .roots import CartanType, Record, positive_roots
 
@@ -223,13 +224,13 @@ def check_folding(vmrts: Optional[VMRTs] = None) -> List[CheckResult]:
     vmrts = {} if vmrts is None else vmrts
     bad = []
     for label, params in _FOLDING_CASES:
-        e, (v, _, _) = _vmrt_of(label, params, vmrts)
-        if not fold_consistency(e, v):
+        e, (v, zclasses, classes) = _vmrt_of(label, params, vmrts)
+        if not fold_consistency(e, v, classes[0], zclasses[0]):
             bad.append(e.name)
     out = [_row("folding", f"{len(_FOLDING_CASES)} foldable entries", bad)]
     for label, params, pair, want, note in _FOLDING_DISPLAYS:
-        v, zclasses, _ = _vmrt_of(label, params, vmrts)[1]
-        got = to_canonical_text(fold(v.components[0], pair))
+        v, zclasses, classes = _vmrt_of(label, params, vmrts)[1]
+        got = _finite_canonical(*_fold(v.components[0], pair, classes[0]))
         ok = got == want and got == _finite_canonical(v.z[0], zclasses[0])
         out.append(CheckResult("folding", f"displayed folding {note}",
                                "PASS" if ok else "FAIL", got))

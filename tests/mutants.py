@@ -56,7 +56,7 @@ MUTANTS: Tuple[Mutant, ...] = (
            "return levi + (k + 2) * k",
            ("tests/test_diagrams.py", "tests/test_oracles.py")),
     # The Bourbaki class of a standard diagram read backwards.
-    Mutant("bourbaki-reversed", "engine.py",
+    Mutant("bourbaki-reversed", "diagrams.py",
            "return t, {first + i: i + 1 for i in range(t.rank)}",
            "return t, {first + i: t.rank - i for i in range(t.rank)}",
            ("tests/test_engine.py", "tests/test_verify.py")),
@@ -111,6 +111,16 @@ MUTANTS: Tuple[Mutant, ...] = (
            '"CII": lambda n: range(1, n // 2 + 1),',
            '"CII": lambda n: range(1, n),',
            ("tests/test_atlas.py",)),
+    # The CLI loads the engine (and with it the atlas) for every command.
+    Mutant("cli-imports-engine-at-top", "cli.py",
+           "from .affine import MAX_RANK\n",
+           "from . import engine  # noqa: F401\nfrom .affine import MAX_RANK\n",
+           ("tests/test_cli.py",)),
+    # fold_consistency folds the ambient diagram with the classes of Z.
+    Mutant("fold-consistency-given-z-classes", "engine.py",
+           "_fold(v.components[0], pair, classes)",
+           "_fold(v.components[0], pair, zclasses)",
+           ("tests/test_engine.py", "tests/test_verify.py")),
 )
 
 

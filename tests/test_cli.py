@@ -10,7 +10,9 @@ import time
 import pytest
 
 from kacvmrt import cli, diagrams
+from kacvmrt.atlas import enumerate_entries
 from kacvmrt.cli import main
+from kacvmrt.engine import vmrt
 
 
 def run(capsys, *argv):
@@ -101,10 +103,9 @@ def test_zorbit_recognises_each_z_diagram_once(capsys, monkeypatch):
     # dim Z and the name come from `engine._z_orbit`, which zorbit calls as
     # vmrt does: one classification of the diagram every Z marks.
     from kacvmrt import engine
-    from kacvmrt.atlas import enumerate_entries
 
     recognised, made = [], []
-    real_classify, real_z = diagrams.classify, cli._z_orbit
+    real_classify, real_z = diagrams.classify, engine._z_orbit
 
     def classify(d):
         recognised.append(d)
@@ -117,7 +118,7 @@ def test_zorbit_recognises_each_z_diagram_once(capsys, monkeypatch):
 
     for module in (diagrams, engine):
         monkeypatch.setattr(module, "classify", classify)
-    monkeypatch.setattr(cli, "_z_orbit", z_orbit)
+    monkeypatch.setattr(engine, "_z_orbit", z_orbit)  # the zorbit branch imports it from there
     for e in enumerate_entries(8):
         recognised.clear()
         params = [a for k, v in e.params for a in (f"--{k}", str(v))]
@@ -201,10 +202,10 @@ def test_entry_json_renders_each_diagram_once(monkeypatch):
     real, real_finite = cli.to_canonical_text, cli._finite_canonical
     monkeypatch.setattr(cli, "to_canonical_text", lambda d: texts.append(d) or real(d))
     monkeypatch.setattr(cli, "_finite_canonical", lambda d, k: texts.append(d) or real_finite(d, k))
-    for e in cli.enumerate_entries(8):
+    for e in enumerate_entries(8):
         texts.clear()
         record = cli._entry_json(e)
-        v = cli.vmrt(e)
+        v = vmrt(e)
         shared = v.components is v.z
         assert len(texts) == 1 + len(v.z) + (0 if shared else len(v.components)), e.name
         assert record["vmrt"] == [real(c) for c in v.components]
@@ -214,7 +215,7 @@ def test_entry_json_classifies_each_entry_once(monkeypatch):
     # The Z and VMRT texts are written from the classes vmrt holds, so the
     # record's one classification is the one that builds Z.  The first pass
     # fills the per-type caches.
-    entries = cli.enumerate_entries(12)
+    entries = enumerate_entries(12)
     for e in entries:
         cli._entry_json(e)
     recognised = hook_classify(monkeypatch)
@@ -253,22 +254,40 @@ def test_closed_pipe_exits_quietly():
     assert err == b""
 
 
-def test_cli_import_leaves_verify_unloaded():
-    # Only `verify` needs the sweep module; every other command's cold
-    # start skips compiling it and building its golden catalogue.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    code = "import kacvmrt.cli, sys; assert 'kacvmrt.verify' not in sys.modules"
-    env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+# The kacvmrt modules a fresh interpreter has loaded after each entry
+# point: every command compiles the modules it runs and no other.  The
+# atlas serves lookups and listings, the engine Z orbits and VMRTs, the
+# reader (with affine recognition) parsing, the emitters the ascii, latex
+# and dot formats, and the sweep `verify` alone.
+_PACKAGE = {"kacvmrt", "affine", "diagrams", "render", "roots"}
+_CLI = _PACKAGE | {"cli", "folding"}
 
 
-def test_vmrt_leaves_recognition_unloaded():
-    # Affine recognition serves parsing and affine canonical text only, and
-    # the reader serves parse: a `vmrt` query compiles none of it, nor
-    # `dataclasses` or `json`.
+def _main(*argv):
+    """Code that runs the CLI on argv, as `python -m kacvmrt` would."""
+    return f"import kacvmrt.cli\ntry:\n    kacvmrt.cli.main({list(argv)!r})\nexcept SystemExit:\n    pass"
+
+
+FRESH_MODULES = {
+    "import kacvmrt": ("import kacvmrt", _PACKAGE),
+    "import kacvmrt.cli": ("import kacvmrt.cli", _CLI),
+    "--version": (_main("--version"), _CLI),
+    "dim": (_main("dim", "x-o-o"), _CLI | {"parsing", "recognition"}),
+    "fold": (_main("fold", "ab", "x[2]-o-o-o"), _CLI | {"parsing", "recognition", "presentation"}),
+    "kac": (_main("kac", "AI", "--n", "3"), _CLI | {"atlas", "presentation"}),
+    "list": (_main("list", "--max-rank", "4"), _CLI | {"atlas"}),
+    "vmrt canonical": (_main("vmrt", "herm-CI", "--n", "4", "--format", "canonical"), _CLI | {"atlas", "engine"}),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FRESH_MODULES))
+def test_fresh_interpreter_loads_only_its_modules(entry):
+    # No entry point loads `dataclasses` or `json` either.
+    run, want = FRESH_MODULES[entry]
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    code = ("import kacvmrt.cli, sys; kacvmrt.cli.main(['vmrt', 'herm-CI', '--n', '4', '--format', "
-            "'canonical']); loaded = {'kacvmrt.recognition', 'kacvmrt.parsing', 'dataclasses', "
-            "'json'} & set(sys.modules); assert not loaded, loaded")
-    env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-c", code], env=env, capture_output=True).returncode == 0
+    code = (run + "\nimport sys\nprint(sorted(m.partition('.')[2] or m for m in sys.modules if m.split('.')[0] == "
+            "'kacvmrt'), sorted({'dataclasses', 'json'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{sorted(want)} []"

@@ -20,7 +20,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from kacvmrt.atlas import ALL_LABELS, enumerate_entries  # noqa: E402
 from kacvmrt.cli import main  # noqa: E402
-from kacvmrt.engine import FOLDING_PAIRS  # noqa: E402
+from kacvmrt.folding import FOLDING_PAIRS  # noqa: E402
 from kacvmrt.render import FORMATS  # noqa: E402
 
 ARGV = settings(max_examples=300, deadline=None, database=None, derandomize=True)

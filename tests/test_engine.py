@@ -15,12 +15,12 @@ from kacvmrt.diagrams import (
 from kacvmrt.engine import (
     contact_grading_check,
     entry_folding_pair,
-    fold,
     fold_consistency,
     identify,
     vmrt,
     z_orbit_diagram,
 )
+from kacvmrt.folding import _fold, fold
 from kacvmrt.render import _finite_canonical, to_canonical_text
 from kacvmrt.roots import CartanType
 from root_oracles import z_dimension
@@ -267,6 +267,27 @@ class TestFolding:
         for label, params in [("AII", {"n": 3}), ("group-A", {"n": 3}), ("EIV", {}),
                               ("AI", {"n": 2})]:
             assert fold_consistency(lookup(label, params)), label
+
+    def test_fold_from_vmrt_classes(self):
+        # Folding the ambient diagram from vmrt's classes gives what folding
+        # it from a fresh classification gives, and the classes the fold
+        # hands back are a valid classification of the folded diagram.
+        folded = 0
+        for e in enumerate_entries(20):
+            if not (e.restricted.is_type_a and e.restricted.rank >= 2 and e.label != "AI-even"):
+                continue
+            v, (zclasses,), (classes,) = engine._vmrt(e)
+            ambient = v.components[0]
+            out, out_classes = _fold(ambient, entry_folding_pair(e), classes)
+            assert out == fold(ambient, entry_folding_pair(e)), e.name
+            for t, mapping in out_classes:
+                inv = {i: x for x, i in mapping.items()}
+                ids = [inv[i] for i in range(1, t.rank + 1)]
+                assert standard_diagram(t, ids) == out.diagram.restrict(mapping), e.name
+            assert sorted(x for _, mapping in out_classes for x in mapping) == list(out.diagram.nodes)
+            assert fold_consistency(e, v, classes, zclasses), e.name
+            folded += 1
+        assert folded > 20
 
     def test_no_folding_for_ai_even(self):
         with pytest.raises(ValueError, match="no admissible folding"):

@@ -15,7 +15,7 @@ import os
 
 from kacvmrt.atlas import enumerate_entries
 from kacvmrt.engine import vmrt
-from kacvmrt.render import to_ascii, to_dot, to_latex
+from kacvmrt.presentation import to_ascii, to_dot, to_latex
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "presentations_rank30.txt")
 MAX_RANK = 30

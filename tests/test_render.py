@@ -16,18 +16,9 @@ from kacvmrt.diagrams import (
 )
 from kacvmrt.engine import _vmrt, vmrt, z_orbit_diagram
 from kacvmrt.parsing import _read, read
+from kacvmrt.presentation import to_ascii, to_dot, to_latex
 from kacvmrt.recognition import recognize_affine
-from kacvmrt.render import (
-    ParseError,
-    _finite_canonical,
-    parse,
-    render,
-    to_ascii,
-    to_canonical_text,
-    to_dot,
-    to_json,
-    to_latex,
-)
+from kacvmrt.render import ParseError, _finite_canonical, parse, render, to_canonical_text, to_json
 from kacvmrt.roots import CartanType
 
 

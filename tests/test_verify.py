@@ -143,10 +143,11 @@ def test_round_trip_reads_each_diagram_object_once(monkeypatch):
 
 def test_run_all_classifies_each_diagram_once(monkeypatch):
     # Per caller, the classify calls of a warm run_all(12): one per Z (its
-    # halves mark one diagram), one per finite text the round trip reads
-    # back, whose writer takes the reader's classes; and for the folding
-    # rows, the folded diagrams and the Z they are matched with.  The
-    # checks take vmrt's classes for everything else.
+    # halves mark one diagram) and one per finite text the round trip reads
+    # back, whose writer takes the reader's classes.  The checks take
+    # vmrt's classes for everything else: the folding rows fold the ambient
+    # diagram from its classes and match and write the folded diagram from
+    # the classes the fold gives.
     run_all(12)
     entries = verify.enumerate_entries(12)
     named = {lookup(label, params).name for label, params in
@@ -156,8 +157,6 @@ def test_run_all_classifies_each_diagram_once(monkeypatch):
     for e in entries:
         v = engine.vmrt(e)
         read_back += len(v.z) + (0 if v.components is v.z else len(v.components))
-    folds = [engine.entry_folding_pair(lookup(label, params)) for label, params in verify._FOLDING_CASES]
-    folds += [pair for _, _, pair, _, _ in verify._FOLDING_DISPLAYS]
     calls = collections.Counter()
     real = diagrams.classify
 
@@ -172,7 +171,4 @@ def test_run_all_classifies_each_diagram_once(monkeypatch):
     assert calls == {
         "_z_orbit": len({e.name for e in entries} | named),
         "_read": read_back,
-        "fold": sum(2 if pair == "swap" else 1 for pair in folds),
-        "find_marked_isomorphism": 2 * len(verify._FOLDING_CASES),
-        "to_canonical_text": len(verify._FOLDING_DISPLAYS),
     }
