@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .roots import CartanType, OrderedRecord, Record, SimpleEdge, positive_roots, simple_edges
+from .roots import CartanType, OrderedRecord, Record, positive_roots, simple_edges
 
 Classes = Sequence[Tuple[CartanType, Dict[int, int]]]  # what classify returns
 
@@ -42,20 +42,24 @@ def _edge(a: int, b: int, mult: int = 1, short: Optional[int] = None) -> Edge:
 
 
 def _components(nodes: Sequence[int], adj: Dict[int, Dict[int, Edge]]) -> Tuple[Tuple[int, ...], ...]:
+    """Breadth-first, marking each node once; nodes is sorted, and a
+    connected diagram gives it back as its one component."""
     seen: set = set()
     comps: List[Tuple[int, ...]] = []
     for start in nodes:
         if start in seen:
             continue
-        stack, comp = [start], set()
-        while stack:
-            v = stack.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            stack.extend(adj[v])
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
+        seen.add(start)
+        comp = [start]
+        for v in comp:  # comp grows as it is read
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        if len(comp) == len(nodes):
+            return (tuple(nodes),)
+        comp.sort()
+        comps.append(tuple(comp))
     return tuple(comps)
 
 
@@ -145,14 +149,15 @@ def _chain_from(adj: Dict[int, Dict[int, Edge]], prev: Optional[int], cur: int) 
     return out
 
 
-# One CartanType per (family, rank) and one edge set per type, built on
+# One CartanType per (family, rank) and one bond table per type, built on
 # first use: recognition meets the same few types over and over.
 _cartan_type = lru_cache(maxsize=None)(CartanType)
 
 
 @lru_cache(maxsize=None)
-def _simple_edge_set(t: CartanType) -> FrozenSet[SimpleEdge]:
-    return frozenset(simple_edges(t))
+def _bond_table(t: CartanType) -> Dict[Tuple[int, int], Tuple[int, Optional[int]]]:
+    """(i, j) -> (mult, short end) for the bonds of t's diagram, i < j."""
+    return {(a, b): (mult, short) for a, b, mult, short in simple_edges(t)}
 
 
 def _classify_component(
@@ -232,13 +237,19 @@ def _classify_component(
 def _revalidate(t: CartanType, mapping: Dict[int, int], comp: Tuple[int, ...],
                 edges: Sequence[Edge]) -> None:
     """Recognition is never trusted blind: the component's edges, carried
-    to Bourbaki indices, must be exactly the edges of t's diagram."""
-    got = set()
-    for e in edges:
-        i, j = mapping.get(e.a, 0), mapping.get(e.b, 0)
-        got.add((min(i, j), max(i, j), e.mult, None if e.short is None else mapping.get(e.short, 0)))
-    if len(comp) != t.rank or len(got) != len(edges) or got != _simple_edge_set(t):
-        raise UnrecognizedDiagram(f"component {comp} failed re-validation")
+    to Bourbaki indices, must hit each bond of t's diagram exactly once,
+    with its multiplicity and short end."""
+    left = _bond_table(t).copy()
+    if len(comp) == t.rank:
+        get = mapping.get
+        for e in edges:
+            i, j, s = get(e.a, 0), get(e.b, 0), e.short
+            if left.pop((i, j) if i < j else (j, i), None) != (e.mult, s if s is None else get(s, 0)):
+                break
+        else:
+            if not left:
+                return
+    raise UnrecognizedDiagram(f"component {comp} failed re-validation")
 
 
 def classify(d: DynkinDiagram) -> Tuple[Tuple[CartanType, Dict[int, int]], ...]:
@@ -246,12 +257,16 @@ def classify(d: DynkinDiagram) -> Tuple[Tuple[CartanType, Dict[int, int]], ...]:
     deterministic on valid diagrams."""
     adj = d.adjacency()
     comps = _components(d.nodes, adj)
-    where = {v: k for k, comp in enumerate(comps) for v in comp}
-    buckets: List[List[Edge]] = [[] for _ in comps]
-    for e in d.edges:
-        buckets[where[e.a]].append(e)
+    if len(comps) == 1:
+        parts: Iterable[Tuple[Tuple[int, ...], Sequence[Edge]]] = ((comps[0], d.edges),)
+    else:
+        where = {v: k for k, comp in enumerate(comps) for v in comp}
+        buckets: List[List[Edge]] = [[] for _ in comps]
+        for e in d.edges:
+            buckets[where[e.a]].append(e)
+        parts = zip(comps, buckets)
     out = []
-    for comp, edges in zip(comps, buckets):
+    for comp, edges in parts:
         t, mapping = _classify_component(adj, comp, edges)
         _revalidate(t, mapping, comp, edges)
         out.append((t, mapping))

@@ -28,7 +28,6 @@ from .diagrams import (
     standard_diagram,
     standard_marked,
 )
-from .folding import _fold
 from .roots import CartanType, Record
 
 
@@ -281,6 +280,8 @@ def fold_consistency(e: SymmetricSpaceEntry, v: Optional[VMRTDescription] = None
     """Does folding the ambient VMRT diagram reproduce the Z diagram?  v is
     vmrt(e) when the caller has it, and classes and zclasses, if given, are
     the classes of its ambient and Z diagrams, as _vmrt gives them."""
+    from .folding import _fold
+
     pair = entry_folding_pair(e)
     if v is None:
         v, (zclasses,), (classes,) = _vmrt(e)

@@ -1,8 +1,9 @@
 """Diagram folding: a marked Dynkin diagram quotiented by an order-2
 diagram symmetry (or the exchange of two identical components).
 
-Kept apart from the VMRT pipeline, so that the CLI's argument parser and
-`kacvmrt fold` compile neither the engine nor the atlas.
+Kept apart from the VMRT pipeline, so that `kacvmrt fold` compiles
+neither the engine nor the atlas; the engine imports it only to check a
+folding, so of the CLI commands only `fold` and `verify` compile it.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@
 
 `render` imports this module on the first parse, so a process that only
 computes and renders diagrams (a `kacvmrt vmrt` query) never compiles it.
+Affine recognition is imported only where a Kac or affine text is read,
+so reading finite text (`kacvmrt dim` and `fold`) never compiles it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .diagrams import (
     find_marked_isomorphism,
     marked,
 )
-from .recognition import affine_candidates, recognize_affine
 from .render import _EDGE_TOKEN, Diagram, ParseError, _affine_canonical, _affine_template
 
 # The rendered bonds plus the arrowless double and triple bonds, which are
@@ -180,6 +181,8 @@ def _read_kac_text(s: str) -> Optional[MarkedKacDiagram]:
     k = len(letters)
     if k > MAX_RANK + 1 or letters.count("o") + letters.count("O") != k:
         return None
+    from .recognition import affine_candidates
+
     for f, n, twist in affine_candidates(k - 1):
         base = _cartan_type(f, n)
         text, images = _affine_template(base, twist)
@@ -236,6 +239,8 @@ def _read(s: str) -> Tuple[Diagram, Optional[Classes]]:
         raise ParseError(f"an affine diagram has at most MAX_RANK + 1 = {MAX_RANK + 1} nodes", len(s))
     if len(d.components()) != 1:
         raise ParseError("an affine diagram is connected", len(s))
+    from .recognition import recognize_affine
+
     hit = recognize_affine(d)
     if hit is None:
         raise ParseError("not a recognised finite or affine diagram", len(s))

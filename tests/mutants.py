@@ -121,6 +121,34 @@ MUTANTS: Tuple[Mutant, ...] = (
            "_fold(v.components[0], pair, classes)",
            "_fold(v.components[0], pair, zclasses)",
            ("tests/test_engine.py", "tests/test_verify.py")),
+    # Re-validation compares only the multiplicity of each bond, not its
+    # short end, so B_n read as C_n passes.
+    Mutant("revalidation-ignores-short-end", "diagrams.py",
+           "left.pop((i, j) if i < j else (j, i), None) != (e.mult, s if s is None else get(s, 0))",
+           "left.pop((i, j) if i < j else (j, i), (0,))[0] != e.mult",
+           ("tests/test_diagrams.py", "tests/test_classify.py")),
+    # Re-validation does not ask that every bond of the type was hit.
+    Mutant("revalidation-misses-an-unhit-bond", "diagrams.py",
+           "            if not left:\n",
+           "            if True:\n",
+           ("tests/test_classify.py",)),
+    # A chain of type A is numbered from its greatest leaf, not its least.
+    Mutant("chain-from-greatest-leaf", "diagrams.py",
+           "_chain_from(adj, None, min(v for v in comp if deg[v] == 1))",
+           "_chain_from(adj, None, max(v for v in comp if deg[v] == 1))",
+           ("tests/test_classify.py",)),
+    # The one-component shortcut hands over its nodes in walk order, not
+    # sorted.
+    Mutant("connected-component-in-walk-order", "diagrams.py",
+           "return (tuple(nodes),)",
+           "return (tuple(comp),)",
+           ("tests/test_diagrams.py", "tests/test_classify.py")),
+    # The arms of a branch node are ordered by length alone, so D_4's and
+    # E_6's equal arms keep the order of the adjacency map, not of node ids.
+    Mutant("arms-ordered-by-length-only", "diagrams.py",
+           "key=lambda a: (len(a), a[-1])",
+           "key=len",
+           ("tests/test_classify.py",)),
 )
 
 

@@ -1,16 +1,19 @@
 """Root-system functions that only the tests use, kept as oracles beside
 them: root lengths, the highest short root, the -w0 diagram automorphism,
 the sign and support of a root, dim Z from a Z diagram alone, the affine
-Cartan matrix, and the affine diagrams as derived from the highest root
-and transcribed edge by edge."""
+Cartan matrix, the affine diagrams as derived from the highest root
+and transcribed edge by edge, and `classify` as it was before its
+components came from one breadth-first walk."""
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from kacvmrt.affine import AffineDiagram
-from kacvmrt.diagrams import Edge, MarkedDynkinDiagram, _edge_signature, parabolic_dimension, standard_diagram
+from kacvmrt.diagrams import (DynkinDiagram, Edge, MarkedDynkinDiagram, UnrecognizedDiagram, _cartan_type,
+                              _edge_signature, parabolic_dimension, standard_diagram)
 from kacvmrt.recognition import _key
-from kacvmrt.roots import CartanType, Root, _cartan_from_bonds, cartan_matrix, highest_root, positive_roots
+from kacvmrt.roots import (CartanType, Root, SimpleEdge, _cartan_from_bonds, cartan_matrix, highest_root,
+                           positive_roots, simple_edges)
 
 
 def simple_norms(t: CartanType) -> Tuple[int, ...]:
@@ -174,3 +177,132 @@ def reference_node_zero_key(family: str, rank: int, twist: int) -> Optional[tupl
     except ValueError:
         return None
     return _key(t, tuple(sorted([(e.other(0),) + _edge_signature(e, 0) for e in edges if 0 in (e.a, e.b)])))
+
+
+# ---------------------------------------------------------------------------
+# classify before its components came from one breadth-first walk: a
+# depth-first component search, a node -> component map and edge buckets
+# for every diagram, and re-validation by comparing sets of Bourbaki edges.
+# The component recogniser and its chain walk are a frozen copy, so the
+# reference stays independent of the code under test when that changes.
+
+
+def components_reference(nodes: Sequence[int], adj: Dict[int, Dict[int, Edge]]) -> Tuple[Tuple[int, ...], ...]:
+    seen: set = set()
+    comps: List[Tuple[int, ...]] = []
+    for start in nodes:
+        if start in seen:
+            continue
+        stack, comp = [start], set()
+        while stack:
+            v = stack.pop()
+            if v in comp:
+                continue
+            comp.add(v)
+            stack.extend(adj[v])
+        seen |= comp
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
+def _reference_chain_from(adj: Dict[int, Dict[int, Edge]], prev: Optional[int], cur: int) -> List[int]:
+    out = []
+    while cur is not None:
+        out.append(cur)
+        nbrs = [v for v in adj[cur] if v != prev]
+        prev, cur = cur, (nbrs[0] if nbrs else None)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _simple_edge_set(t: CartanType) -> FrozenSet[SimpleEdge]:
+    return frozenset(simple_edges(t))
+
+
+def classify_component_reference(
+    adj: Dict[int, Dict[int, Edge]], comp: Tuple[int, ...], edges: Sequence[Edge]
+) -> Tuple[CartanType, Dict[int, int]]:
+    """One connected component: (type, node -> Bourbaki index), ties
+    broken by node id."""
+    n = len(comp)
+    if n == 1:
+        return _cartan_type("A", 1), {comp[0]: 1}
+
+    if len(edges) != n - 1:
+        raise UnrecognizedDiagram("cycle is not a finite type")
+
+    multi = sorted((e for e in edges if e.mult >= 2), key=lambda e: (e.a, e.b))
+    deg = {v: len(adj[v]) for v in comp}
+    if any(e.mult >= 4 for e in multi):
+        raise UnrecognizedDiagram("quadruple bond is not a finite type")
+
+    if any(e.mult == 3 for e in multi):
+        if n != 2:
+            raise UnrecognizedDiagram("triple bond only occurs in G2")
+        e = multi[0]
+        return _cartan_type("G", 2), {e.short: 1, e.other(e.short): 2}
+
+    if multi:
+        if len(multi) > 1 or any(v for v in comp if deg[v] > 2):
+            raise UnrecognizedDiagram("not a finite type (bad double bonds)")
+        e = multi[0]
+        lng = e.other(e.short)
+        if n == 2:
+            return _cartan_type("B", 2), {e.short: 2, lng: 1}
+        end_on_edge = [v for v in (e.a, e.b) if deg[v] == 1]
+        if not end_on_edge:
+            if n != 4:
+                raise UnrecognizedDiagram("interior double bond only occurs in F4")
+            (outer_long,) = [v for v in adj[lng] if v != e.short]
+            (outer_short,) = [v for v in adj[e.short] if v != lng]
+            return _cartan_type("F", 4), {outer_long: 1, lng: 2, e.short: 3, outer_short: 4}
+        tip = end_on_edge[0]
+        chain = _reference_chain_from(adj, None, tip)
+        return _cartan_type("B" if tip == e.short else "C", n), {v: n - k for k, v in enumerate(chain)}
+
+    branch = sorted(v for v in comp if deg[v] >= 3)
+    if any(deg[v] > 3 for v in comp) or len(branch) > 1:
+        raise UnrecognizedDiagram("not a finite simply-laced type")
+    if not branch:
+        chain = _reference_chain_from(adj, None, min(v for v in comp if deg[v] == 1))
+        return _cartan_type("A", n), {v: k + 1 for k, v in enumerate(chain)}
+
+    c = branch[0]
+    arms = sorted((_reference_chain_from(adj, c, first) for first in adj[c]), key=lambda a: (len(a), a[-1]))
+    lengths = tuple([len(a) for a in arms])
+    if lengths[:2] == (1, 1):
+        mapping = {c: n - 2, arms[0][0]: n - 1, arms[1][0]: n}
+        mapping.update((v, n - 3 - i) for i, v in enumerate(arms[2]))
+        return _cartan_type("D", n), mapping
+    if lengths in ((1, 2, 2), (1, 2, 3), (1, 2, 4)):
+        mapping = {c: 4, arms[0][0]: 2, arms[1][0]: 3, arms[1][1]: 1}
+        mapping.update((v, 5 + i) for i, v in enumerate(arms[2]))
+        return _cartan_type("E", n), mapping
+
+    raise UnrecognizedDiagram(f"arm lengths {lengths} are not a finite type")
+
+
+def _reference_revalidate(t: CartanType, mapping: Dict[int, int], comp: Tuple[int, ...],
+                          edges: Sequence[Edge]) -> None:
+    got = set()
+    for e in edges:
+        i, j = mapping.get(e.a, 0), mapping.get(e.b, 0)
+        got.add((min(i, j), max(i, j), e.mult, None if e.short is None else mapping.get(e.short, 0)))
+    if len(comp) != t.rank or len(got) != len(edges) or got != _simple_edge_set(t):
+        raise UnrecognizedDiagram(f"component {comp} failed re-validation")
+
+
+def classify_reference(d: DynkinDiagram) -> Tuple[Tuple[CartanType, Dict[int, int]], ...]:
+    """What `diagrams.classify` returns, or raises, computed the old way."""
+    adj = d.adjacency()
+    comps = components_reference(d.nodes, adj)
+    where = {v: k for k, comp in enumerate(comps) for v in comp}
+    buckets: List[List[Edge]] = [[] for _ in comps]
+    for e in d.edges:
+        buckets[where[e.a]].append(e)
+    out = []
+    for comp, edges in zip(comps, buckets):
+        t, mapping = classify_component_reference(adj, comp, edges)
+        _reference_revalidate(t, mapping, comp, edges)
+        out.append((t, mapping))
+    return tuple(out)

@@ -91,6 +91,17 @@ def test_fold_command(capsys):
     assert (code, out, err) == (2, "", "error: fold expects a finite marked diagram\n")
 
 
+def test_fold_pairs_are_the_folding_pairs(capsys):
+    # The parser names the pairs without loading folding; they must be its.
+    from kacvmrt.folding import FOLDING_PAIRS
+
+    assert cli._FOLD_PAIRS == tuple(sorted(FOLDING_PAIRS))
+    with pytest.raises(SystemExit) as ex:
+        main(["fold", "xy", "o-o"])
+    assert ex.value.code == 2
+    assert "invalid choice: 'xy'" in capsys.readouterr().err
+
+
 def test_kac_and_zorbit(capsys):
     code, out, _ = run(capsys, "kac", "herm-CI", "--n", "3", "--format", "canonical")
     assert code == 0 and out.strip() == "O=>o-o<=O"
@@ -257,10 +268,11 @@ def test_closed_pipe_exits_quietly():
 # The kacvmrt modules a fresh interpreter has loaded after each entry
 # point: every command compiles the modules it runs and no other.  The
 # atlas serves lookups and listings, the engine Z orbits and VMRTs, the
-# reader (with affine recognition) parsing, the emitters the ascii, latex
-# and dot formats, and the sweep `verify` alone.
+# reader parsing (with affine recognition only for Kac and affine text),
+# folding `fold`, the emitters the ascii, latex and dot formats, and the
+# sweep `verify` alone.
 _PACKAGE = {"kacvmrt", "affine", "diagrams", "render", "roots"}
-_CLI = _PACKAGE | {"cli", "folding"}
+_CLI = _PACKAGE | {"cli"}
 
 
 def _main(*argv):
@@ -272,8 +284,8 @@ FRESH_MODULES = {
     "import kacvmrt": ("import kacvmrt", _PACKAGE),
     "import kacvmrt.cli": ("import kacvmrt.cli", _CLI),
     "--version": (_main("--version"), _CLI),
-    "dim": (_main("dim", "x-o-o"), _CLI | {"parsing", "recognition"}),
-    "fold": (_main("fold", "ab", "x[2]-o-o-o"), _CLI | {"parsing", "recognition", "presentation"}),
+    "dim": (_main("dim", "x-o-o"), _CLI | {"parsing"}),
+    "fold": (_main("fold", "ab", "x[2]-o-o-o"), _CLI | {"folding", "parsing", "presentation"}),
     "kac": (_main("kac", "AI", "--n", "3"), _CLI | {"atlas", "presentation"}),
     "list": (_main("list", "--max-rank", "4"), _CLI | {"atlas"}),
     "vmrt canonical": (_main("vmrt", "herm-CI", "--n", "4", "--format", "canonical"), _CLI | {"atlas", "engine"}),
