@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
-from .diagrams import DynkinDiagram, Edge, standard_diagram
+from .diagrams import DynkinDiagram, Edge, _edge_tuple, standard_diagram
 from .roots import CartanType, Record, highest_root
 
 # The largest rank the package handles: the atlas lists, and the reader
@@ -41,8 +41,8 @@ class AffineDiagram(Record):
     __slots__ = ("base", "twist", "nodes", "edges", "labels")
 
     def __init__(self, base: CartanType, twist: int, nodes: Tuple[int, ...],
-                 edges: FrozenSet[Edge], labels: Tuple[int, ...]) -> None:
-        self._set(base, twist, nodes, edges, labels)
+                 edges: Iterable[Edge], labels: Tuple[int, ...]) -> None:
+        self._set(base, twist, nodes, _edge_tuple(edges), labels)
 
     @property
     def num_nodes(self) -> int:
@@ -143,7 +143,7 @@ def affine_node_count(family: str, rank: int, twist: int) -> int:
 def affine_diagram(base: CartanType, twist: int = 1) -> AffineDiagram:
     """Construct base^(twist) from its Kac shape, checking its labels."""
     finite, bonds, labels = _kac_shape(base, twist)
-    edges = standard_diagram(finite).edges | frozenset([Edge(0, i, mult, short) for i, mult, short in bonds])
+    edges = standard_diagram(finite).edges + tuple([Edge(0, i, mult, short) for i, mult, short in bonds])
     diag = AffineDiagram(base, twist, tuple(range(finite.rank + 1)), edges, labels)
     _check_null_labels(diag)
     return diag

@@ -1,10 +1,10 @@
 """Dynkin diagrams as labelled multigraphs, with total type recognition.
 
-A diagram is a set of integer node ids plus edges carrying a multiplicity
-and, for multiplicity >= 2, the id of the short-root endpoint.  Node ids
-are arbitrary; `classify` recognises every connected component as a
-Bourbaki-numbered finite type and returns the relabelling, which is what
-the dimension counts are computed through.
+A diagram is a set of integer node ids plus edges, one sorted tuple, each
+carrying a multiplicity and, for multiplicity >= 2, the id of the
+short-root endpoint.  Node ids are arbitrary; `classify` recognises every
+connected component as a Bourbaki-numbered finite type and returns the
+relabelling, which is what the dimension counts are computed through.
 """
 
 from __future__ import annotations
@@ -41,6 +41,17 @@ def _edge(a: int, b: int, mult: int = 1, short: Optional[int] = None) -> Edge:
     return Edge(min(a, b), max(a, b), mult, short)
 
 
+def _edge_tuple(edges: Iterable[Edge]) -> Tuple[Edge, ...]:
+    """The edges without repeats, sorted by their fields (an arrowless
+    quadruple bond before one with an arrow); a set is not hashed again."""
+    if not isinstance(edges, (set, frozenset)):
+        edges = set(edges)
+    try:
+        return tuple(sorted(edges, key=Edge._values))  # the field tuple, read in C
+    except TypeError:  # None against an int short end
+        return tuple(sorted(edges, key=lambda e: (e.a, e.b, e.mult, e.short is not None, e.short)))
+
+
 def _components(nodes: Sequence[int], adj: Dict[int, Dict[int, Edge]]) -> Tuple[Tuple[int, ...], ...]:
     """Breadth-first, marking each node once; nodes is sorted, and a
     connected diagram gives it back as its one component."""
@@ -68,9 +79,9 @@ class DynkinDiagram(Record):
 
     __slots__ = ("nodes", "edges")
 
-    def __init__(self, nodes: Iterable[int], edges: Iterable[Edge] = frozenset()) -> None:
+    def __init__(self, nodes: Iterable[int], edges: Iterable[Edge] = ()) -> None:
         ids = set(nodes)
-        edges = frozenset(edges)
+        edges = _edge_tuple(edges)
         for e in edges:
             if e.a not in ids or e.b not in ids:
                 raise ValueError(f"edge {e} references a node not in diagram")
@@ -109,7 +120,7 @@ class DynkinDiagram(Record):
         keep_set = set(keep)
         return DynkinDiagram(
             tuple([v for v in self.nodes if v in keep_set]),
-            frozenset(e for e in self.edges if e.a in keep_set and e.b in keep_set),
+            [e for e in self.edges if e.a in keep_set and e.b in keep_set],
         )
 
     def delete(self, drop: Iterable[int]) -> "DynkinDiagram":
@@ -127,7 +138,7 @@ def standard_diagram(t: CartanType, ids: Optional[Sequence[int]] = None) -> Dynk
     edges = []
     for a, b, mult, short in simple_edges(t):
         edges.append(_edge(m[a], m[b], mult, None if short is None else m[short]))
-    return DynkinDiagram(tuple(ids), frozenset(edges))
+    return DynkinDiagram(tuple(ids), edges)
 
 
 def _bourbaki(t: CartanType, first: int = 1) -> Tuple[CartanType, Dict[int, int]]:
@@ -178,7 +189,7 @@ def _classify_component(
         # holds every edge.
         raise UnrecognizedDiagram("cycle is not a finite type")
 
-    multi = sorted((e for e in edges if e.mult >= 2), key=lambda e: (e.a, e.b))
+    multi = [e for e in edges if e.mult >= 2]
     deg = {v: len(adj[v]) for v in comp}
     if any(e.mult >= 4 for e in multi):
         raise UnrecognizedDiagram("quadruple bond is not a finite type")
@@ -190,7 +201,7 @@ def _classify_component(
         return _cartan_type("G", 2), {e.short: 1, e.other(e.short): 2}
 
     if multi:
-        if len(multi) > 1 or any(v for v in comp if deg[v] > 2):
+        if len(multi) > 1 or any(deg[v] > 2 for v in comp):
             raise UnrecognizedDiagram("not a finite type (bad double bonds)")
         # A chain with one double edge: B, C or F4.
         e = multi[0]
@@ -393,10 +404,9 @@ class MarkedDynkinDiagram(Record):
             # The pairing must be an isomorphism of the left half onto the
             # right one, bonds and marks included, with no bond between them.
             to = dict(sigma_pairs)
-            inside = {e for e in diagram.edges if e.a in to and e.b in to}
-            moved = {_edge(to[e.a], to[e.b], e.mult, None if e.short is None else to[e.short])
-                     for e in inside}
-            if moved != diagram.edges - inside or any(
+            moved = _edge_tuple([_edge(to[e.a], to[e.b], e.mult, None if e.short is None else to[e.short])
+                                 for e in diagram.edges if e.a in to and e.b in to])
+            if moved != tuple([e for e in diagram.edges if e.a not in to or e.b not in to]) or any(
                     (a in crossed) != (b in crossed) or ann.get(a) != ann.get(b) for a, b in sigma_pairs):
                 raise ValueError("sigma halves are not isomorphic under the pairing")
         self._set(diagram, crossed, tuple(sorted(ann.items())), sigma_pairs)

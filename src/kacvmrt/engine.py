@@ -97,7 +97,7 @@ def _z_orbit(m: MarkedKacDiagram, kind: str) -> Tuple[Tuple[MarkedDynkinDiagram,
         raise AssertionError("non-exceptional halves are not isomorphic")
     offset = max(finite.nodes) + 1
     h1s = _shift_marked(h1, offset)
-    union = DynkinDiagram(finite.nodes + h1s.diagram.nodes, finite.edges | h1s.diagram.edges)
+    union = DynkinDiagram(finite.nodes + h1s.diagram.nodes, finite.edges + h1s.diagram.edges)
     pairs = tuple(sorted([(v, iso[v] + offset) for v in finite.nodes]))
     z = marked(union, h0.crossed | h1s.crossed, h0.annotations + h1s.annotations, pairs)
     shifted = tuple([(t, {v + offset: i for v, i in mapping.items()}) for t, mapping in classes])
@@ -194,7 +194,7 @@ def _type_a_table(e: SymmetricSpaceEntry) -> Tuple[MarkedDynkinDiagram, Classes,
         t = CartanType("A", r)
         copy1 = standard_diagram(t)
         copy2 = standard_diagram(t, [r + i for i in range(1, r + 1)])
-        diagram = DynkinDiagram(copy1.nodes + copy2.nodes, copy1.edges | copy2.edges)
+        diagram = DynkinDiagram(copy1.nodes + copy2.nodes, copy1.edges + copy2.edges)
         note = f"(SL_{r + 1} x SL_{r + 1}, P_1 x P_{r}), lambda = (w_1,0)+(0,w_{r})"
         return marked(diagram, {1, 2 * r}), (_bourbaki(t), _bourbaki(t, r + 1)), note
     if e.label in ("AI", "AI-even"):

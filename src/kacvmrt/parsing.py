@@ -210,7 +210,7 @@ def _read(s: str) -> Tuple[Diagram, Optional[Classes]]:
             return m, None
     p = _Parser(s)
     p.parse()
-    d = DynkinDiagram(tuple(p.nodes), frozenset(p.edges))
+    d = DynkinDiagram(tuple(p.nodes), p.edges)
     if not p.white:
         try:
             classes = classify(d)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from .diagrams import _edge_signature, classify
-from .render import (_EDGE_ORDER, _EDGE_TOKEN, Diagram, Spine, _affine_spine, _chain_spine, _cycle_order,
+from .render import (_EDGE_TOKEN, Diagram, Spine, _affine_spine, _chain_spine, _cycle_order,
                      _edge_lookup, _finite_spine, _kind_of, _node_token, _render_spine)
 
 
@@ -135,7 +135,7 @@ def to_dot(d: Diagram) -> str:
         extra = "" if a is None else f" a={a.labels[v]}"
         label = f"{v}{extra}" + (f" {tok}" if tok != "o" else "")
         lines.append(f'  n{v} [shape=circle, style={style}, label="{label}"];')
-    for e in sorted(g.edges, key=_EDGE_ORDER):
+    for e in g.edges:
         attrs = [f"label=\"{e.mult}\""] if e.mult > 1 else []
         if e.short is not None:
             attrs.append(f"comment=\"short end n{e.short}\"")

@@ -13,7 +13,7 @@ when they run.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .affine import MAX_RANK, AffineDiagram, _kac_shape, affine_diagram, affine_node_count
 from .diagrams import DynkinDiagram, Edge, UnrecognizedDiagram, _edge_signature, classify, diagram_automorphisms
@@ -55,7 +55,7 @@ def _extensions(src: Deletion, dst: Deletion) -> List[Dict[int, int]]:
     return out
 
 
-def _carries(iso: Dict[int, int], edges: FrozenSet[Edge], target: FrozenSet[Edge]) -> bool:
+def _carries(iso: Dict[int, int], edges: Tuple[Edge, ...], target: Tuple[Edge, ...]) -> bool:
     """Re-validation: iso maps the edges exactly onto the target's."""
     got = {(min(iso[e.a], iso[e.b]), max(iso[e.a], iso[e.b]), e.mult,
             None if e.short is None else iso[e.short]) for e in edges}

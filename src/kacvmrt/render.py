@@ -24,7 +24,7 @@ first render in one of those formats) are never parsed back.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import attrgetter
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .affine import AffineDiagram, MarkedKacDiagram, affine_diagram
@@ -167,16 +167,22 @@ def _edge_lookup(adj: Dict[int, Dict[int, Edge]]) -> Callable[[int, int], Edge]:
     return edge_of
 
 
-def _component_canonical(t: CartanType, mapping: Dict[int, int],
-                         edge_of: Callable[[int, int], Edge], marks: Dict[int, str]) -> str:
-    inv = {i: v for v, i in mapping.items()}
-    best = None
-    for aut in diagram_automorphisms(t):
-        inv_a = {i: inv[aut[i]] for i in aut}
-        text = _render_spine(_finite_spine(t, inv_a), edge_of, marks)
-        if best is None or text < best:
-            best = text
-    return best
+@lru_cache(maxsize=None)
+def _finite_template(t: CartanType) -> Tuple[str, Tuple[itemgetter, ...]]:
+    """t's Bourbaki text with a "%s" slot per node, and per automorphism of t
+    a getter of the Bourbaki indices filling the slots, as _affine_template."""
+    adj = standard_diagram(t).adjacency()  # spines are kept for the emitters alone
+    indices, text = _spine_template(_tree_spine(adj, 1), _edge_lookup(adj))
+    return text, tuple([itemgetter(*[aut[i] for i in indices]) for aut in diagram_automorphisms(t)])
+
+
+def _component_canonical(t: CartanType, mapping: Dict[int, int], marks: Dict[int, str]) -> str:
+    """The least text of one component over t's automorphisms."""
+    text, images = _finite_template(t)
+    tokens = [""] * (t.rank + 1)  # by Bourbaki index
+    for v, i in mapping.items():
+        tokens[i] = marks.get(v, "o")
+    return min([text % get(tokens) for get in images])
 
 
 def _cycle_order(adj: Dict[int, Dict[int, Edge]]) -> List[int]:
@@ -202,7 +208,7 @@ def _affine_template(base: CartanType, twist: int) -> Tuple[str, Tuple[Tuple[int
 
     a = affine_diagram(base, twist)
     adj = a.adjacency()
-    spine = _affine_spine(base, twist)
+    spine = _affine_spine.__wrapped__(base, twist)  # spines are kept for the emitters alone
     nodes, text = _spine_template(_chain_spine(_cycle_order(adj)) if spine is None else spine, _edge_lookup(adj))
     return ("@" if spine is None else "") + text, tuple([tuple([aut[v] for v in nodes])
                                                          for aut in affine_automorphisms(a)])
@@ -234,11 +240,7 @@ def _finite_canonical(md: MarkedDynkinDiagram, classes: Classes,
     given, are _kind_of(md)'s."""
     if marks is None:
         marks = _kind_of(md)[2]
-    edge_of = _edge_lookup(md.diagram.adjacency())
-    parts = sorted(
-        _component_canonical(t, mapping, edge_of, marks)
-        for t, mapping in classes
-    )
+    parts = sorted([_component_canonical(t, mapping, marks) for t, mapping in classes])
     if md.sigma_pairs is not None and parts:
         # The pairing makes the halves isomorphic, so every other part
         # spells one half; the text writes that half twice.
@@ -256,10 +258,6 @@ def parse(s: str) -> Diagram:
 
 # ---------------------------------------------------------------------------
 # JSON (never parsed back)
-
-# The field order of Edge, as a C-level sort key.
-_EDGE_ORDER = attrgetter("a", "b", "mult", "short")
-
 
 @lru_cache(maxsize=None)
 def _kac_json_template(base: CartanType, twist: int) -> Tuple[str, Tuple[int, ...]]:
@@ -314,7 +312,7 @@ def to_json(d: Diagram) -> str:
 
 def _edges_json(edges) -> List[Dict[str, object]]:
     out = []
-    for e in sorted(edges, key=_EDGE_ORDER):
+    for e in edges:
         rec: Dict[str, object] = {"from": e.a, "to": e.b, "mult": e.mult}
         if e.short is not None:
             rec["short_end"] = e.short

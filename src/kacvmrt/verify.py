@@ -13,6 +13,7 @@ EIV cell, the quadric-index naming of BI/DI) report WARN, never FAIL.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .affine import affine_diagram, kac_labels, validate_kac_marking
@@ -257,16 +258,20 @@ def _row(section: str, name: str, bad: Sequence[str]) -> CheckResult:
     return CheckResult(section, name, "PASS" if not bad else "FAIL", "; ".join(bad))
 
 
+# |Phi+| by the root-string closure, keeping the count but not the roots.
+_root_count = lru_cache(maxsize=None)(lambda t, closure=positive_roots.__wrapped__: len(closure(t)))
+
+
 def _lie_dimensions(max_rank: int) -> CheckResult:
     bad = []
     for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
         for r in range(lo, max_rank + 1):
             t = CartanType(fam, r)
-            if 2 * len(positive_roots(t)) + r != t.algebra_dimension:
+            if 2 * _root_count(t) + r != t.algebra_dimension:
                 bad.append(str(t))
     for t in (CartanType("E", 6), CartanType("E", 7), CartanType("E", 8),
               CartanType("F", 4), CartanType("G", 2)):
-        if 2 * len(positive_roots(t)) + t.rank != t.algebra_dimension:
+        if 2 * _root_count(t) + t.rank != t.algebra_dimension:
             bad.append(str(t))
     return _row("self-checks", f"Lie dimension identities rank <= {max_rank}", bad)
 

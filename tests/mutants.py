@@ -149,6 +149,29 @@ MUTANTS: Tuple[Mutant, ...] = (
            "key=lambda a: (len(a), a[-1])",
            "key=len",
            ("tests/test_classify.py",)),
+    # The branch test of a component with a double bond yields node ids, so
+    # a branch node with id 0 passes it.
+    Mutant("double-bond-branch-reads-node-id", "diagrams.py",
+           "any(deg[v] > 2 for v in comp)",
+           "any(v for v in comp if deg[v] > 2)",
+           ("tests/test_diagrams.py",)),
+    # The finite templates are filled under the identity alone, so a
+    # component's text depends on which end its classification starts at.
+    Mutant("finite-templates-identity-only", "render.py",
+           "for aut in diagram_automorphisms(t)])",
+           "for aut in diagram_automorphisms(t)[:1]])",
+           ("tests/test_oracles.py",)),
+    # The right half of a sigma-paired Z gets classes one node off.
+    Mutant("sigma-classes-shifted-one-node", "engine.py",
+           "{v + offset: i for v, i in mapping.items()}",
+           "{v + offset + 1: i for v, i in mapping.items()}",
+           ("tests/test_oracles.py",)),
+    # A diagram keeps its edges in the order they were given.
+    Mutant("edges-kept-in-input-order", "diagrams.py",
+           "    if not isinstance(edges, (set, frozenset)):\n        edges = set(edges)\n    try:\n"
+           "        return tuple(sorted(edges, key=Edge._values))  # the field tuple, read in C\n",
+           "    try:\n        return tuple(dict.fromkeys(edges))\n",
+           ("tests/test_diagrams.py",)),
 )
 
 

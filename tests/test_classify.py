@@ -76,7 +76,7 @@ def _one_edits(d, rng, k):
         how = rng.choice(["drop", "arrow", "mult", "cycle", "join"])
         if how in ("drop", "arrow", "mult") and edges:
             e = rng.choice(edges)
-            rest = d.edges - {e}
+            rest = set(d.edges) - {e}
             if how == "drop":
                 out.append(DynkinDiagram(d.nodes, rest))
             elif how == "arrow" and e.short is not None:
@@ -89,7 +89,7 @@ def _one_edits(d, rng, k):
             joined = {(e.a, e.b) for e in d.edges}
             u, v = sorted(rng.sample(d.nodes, 2))
             if (u, v) not in joined and (comp_of[u] == comp_of[v]) == (how == "cycle"):
-                out.append(DynkinDiagram(d.nodes, d.edges | {Edge(u, v)}))
+                out.append(DynkinDiagram(d.nodes, set(d.edges) | {Edge(u, v)}))
     return out
 
 

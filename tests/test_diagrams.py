@@ -1,7 +1,10 @@
 """Diagram recognition, parabolic dimensions and gradings."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -79,7 +82,60 @@ def test_classify_rejects_garbage():
     b3 = standard_diagram(CartanType("B", 3))
     for extra in (Edge(1, 2, 2, 1), Edge(1, 2, 3, 2), Edge(2, 3, 1)):
         with pytest.raises(UnrecognizedDiagram):
-            classify(DynkinDiagram(b3.nodes, b3.edges | {extra}))
+            classify(DynkinDiagram(b3.nodes, set(b3.edges) | {extra}))
+
+
+def test_branch_node_zero_with_a_double_bond_is_rejected_as_bad_double_bonds():
+    # The branch test must read the degree, not the node id: node 0 is the
+    # centre of a star with one double bond.
+    star = DynkinDiagram((0, 1, 2, 3), {Edge(0, 1, 2, 1), Edge(0, 2), Edge(0, 3)})
+    with pytest.raises(UnrecognizedDiagram, match="bad double bonds"):
+        classify(star)
+
+
+def test_edges_are_one_sorted_tuple():
+    d = DynkinDiagram((1, 2, 3, 4), [Edge(3, 4, 2, 4), Edge(1, 2), Edge(2, 3), Edge(1, 2)])
+    assert d.edges == (Edge(1, 2), Edge(2, 3), Edge(3, 4, 2, 4))
+    for t in ALL_TYPES:
+        edges = standard_diagram(t, list(range(t.rank, 0, -1))).edges
+        assert isinstance(edges, tuple) and list(edges) == sorted(edges)
+
+
+def test_parallel_edges_sort_without_type_error():
+    # A quadruple bond with and without an arrow on one pair: None against
+    # an int short end.  The arrowless one comes first.
+    bonds = [Edge(1, 2, 4, 2), Edge(1, 2, 4), Edge(1, 2, 4, 1), Edge(1, 2), Edge(0, 1, 4)]
+    want = (Edge(0, 1, 4), Edge(1, 2), Edge(1, 2, 4), Edge(1, 2, 4, 1), Edge(1, 2, 4, 2))
+    for k in range(len(bonds)):
+        order = bonds[k:] + bonds[:k]
+        assert DynkinDiagram((0, 1, 2), order).edges == want
+        assert DynkinDiagram((0, 1, 2), frozenset(order)).edges == want
+
+
+def test_edge_order_is_the_same_in_every_process():
+    # Edge hashes take in hash(None), which on CPython 3.11 is the address
+    # of None, so a set of edges is iterated in another order in another
+    # process; the stored tuple must not be.
+    code = """if True:
+        from kacvmrt import affine_diagram, lookup, standard_diagram, z_orbit_diagram
+        from kacvmrt.presentation import to_dot
+        from kacvmrt.roots import CartanType
+        e = lookup("herm-CI", {"n": 4})
+        (z,) = z_orbit_diagram(e.kac_diagram(), e.kind)
+        assert z.sigma_pairs
+        for edges in (standard_diagram(CartanType("E", 8)).edges, z.diagram.edges,
+                      affine_diagram(CartanType("E", 6), 2).edges):
+            print([(x.a, x.b, x.mult, x.short) for x in edges])
+        print(to_dot(z))
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(diagrams.__file__)))
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("lie", ["type", "mapping"])
@@ -141,7 +197,7 @@ class TestParabolicDimension:
     def test_components_add(self):
         a = standard_diagram(CartanType("B", 3))
         b = standard_diagram(CartanType("A", 2), [11, 12])
-        both = DynkinDiagram(a.nodes + b.nodes, a.edges | b.edges)
+        both = DynkinDiagram(a.nodes + b.nodes, set(a.edges) | set(b.edges))
         assert parabolic_dimension(both, {2, 11}) == 7 + 2
 
 
@@ -189,7 +245,7 @@ def test_classify_builds_each_type_once(monkeypatch):
     for t in types:
         part = standard_diagram(t, list(range(k, k + t.rank)))
         nodes += part.nodes
-        edges |= part.edges
+        edges |= set(part.edges)
         k += t.rank
     d = DynkinDiagram(nodes, edges)
     first = [t for t, _ in classify(d)]
@@ -265,7 +321,7 @@ class TestMarkedDiagram:
     def test_sigma_pairs_validated(self):
         d1 = standard_diagram(CartanType("A", 2))
         d2 = standard_diagram(CartanType("A", 2), [11, 12])
-        both = DynkinDiagram(d1.nodes + d2.nodes, d1.edges | d2.edges)
+        both = DynkinDiagram(d1.nodes + d2.nodes, set(d1.edges) | set(d2.edges))
         m = marked(both, {1, 11}, sigma_pairs=((1, 11), (2, 12)))
         assert m.sigma_left_nodes() == {1, 2}
         with pytest.raises(ValueError):
@@ -280,7 +336,7 @@ class TestMarkedDiagram:
                 marked(both, crossed, ann, pairs)
         b2 = standard_diagram(CartanType("B", 2), [11, 12])
         with pytest.raises(ValueError, match="not isomorphic under the pairing"):
-            marked(DynkinDiagram(d1.nodes + b2.nodes, d1.edges | b2.edges),
+            marked(DynkinDiagram(d1.nodes + b2.nodes, set(d1.edges) | set(b2.edges)),
                    sigma_pairs=((1, 11), (2, 12)))  # a bond sent to a double bond
         with pytest.raises(ValueError, match="not isomorphic under the pairing"):
             marked(DynkinDiagram((1, 2, 3, 4), {Edge(1, 3), Edge(2, 4)}),
@@ -294,7 +350,7 @@ class TestMarkedDiagram:
     def test_sigma_halves(self):
         d1 = standard_diagram(CartanType("B", 2))
         d2 = standard_diagram(CartanType("B", 2), [11, 12])
-        both = DynkinDiagram(d1.nodes + d2.nodes, d1.edges | d2.edges)
+        both = DynkinDiagram(d1.nodes + d2.nodes, set(d1.edges) | set(d2.edges))
         m = marked(both, {1, 11}, {1: 2, 11: 2}, sigma_pairs=((1, 11), (2, 12)))
         left, right = m.sigma_halves()
         assert left == marked(d1, {1}, {1: 2})

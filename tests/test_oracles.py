@@ -29,6 +29,7 @@ oracle builds the whole object and `json.dumps` it.
 
 import itertools
 import json
+import random
 import re
 
 import pytest
@@ -37,7 +38,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from kacvmrt.affine import MarkedKacDiagram, affine_diagram, affine_node_count  # noqa: E402
+from kacvmrt.affine import AffineDiagram, MarkedKacDiagram, affine_diagram, affine_node_count  # noqa: E402
+from kacvmrt.atlas import enumerate_entries  # noqa: E402
 from kacvmrt.diagrams import (  # noqa: E402
     DynkinDiagram,
     Edge,
@@ -45,12 +47,14 @@ from kacvmrt.diagrams import (  # noqa: E402
     _classify_component,
     _edge_signature,
     classify,
+    diagram_automorphisms,
     find_isomorphism,
     find_marked_isomorphism,
     marked,
     parabolic_dimension,
     standard_diagram,
 )
+from kacvmrt.engine import _vmrt  # noqa: E402
 from kacvmrt.parsing import _Parser, _read_kac_text  # noqa: E402
 from kacvmrt.recognition import affine_automorphisms, affine_candidates, recognize_affine  # noqa: E402
 from kacvmrt.render import (  # noqa: E402
@@ -59,6 +63,8 @@ from kacvmrt.render import (  # noqa: E402
     _chain_spine,
     _cycle_order,
     _edge_lookup,
+    _finite_canonical,
+    _finite_spine,
     _render_spine,
     parse,
     to_canonical_text,
@@ -102,7 +108,7 @@ def finite_unions(draw, max_parts=4):
     for t in types:
         part = standard_diagram(t, ids[k:k + t.rank])
         nodes += part.nodes
-        edges |= part.edges
+        edges |= set(part.edges)
         k += t.rank
     return DynkinDiagram(tuple(nodes), frozenset(edges))
 
@@ -540,7 +546,7 @@ def test_canonical_text_of_sigma_paired_diagrams(half, copies, data):
         shift = {v: v + 1000 * c for v in half.diagram.nodes}
         part = _relabel_marked(half, shift)
         nodes += part.diagram.nodes
-        edges |= part.diagram.edges
+        edges |= set(part.diagram.edges)
         crossed |= part.crossed
         ann.update(part.annotations)
         if c < copies:
@@ -548,6 +554,110 @@ def test_canonical_text_of_sigma_paired_diagrams(half, copies, data):
     m = marked(DynkinDiagram(tuple(nodes), frozenset(edges)), crossed, ann, pairs)
     ids = data.draw(st.permutations(range(5000, 5000 + 2 * copies * k)))
     _assert_canonical(m, _relabel_marked(m, dict(zip(nodes, ids))))
+
+
+# ---------------------------------------------------------------------------
+# Finite canonical text: per-type templates against the spine walk
+
+
+def _component_canonical_oracle(t, mapping, edge_of, marks):
+    """One component rendered in full along t's spine under every
+    automorphism of t, its bonds looked up in the diagram; the least text."""
+    inv = {i: v for v, i in mapping.items()}
+    return min([_render_spine(_finite_spine(t, {i: inv[aut[i]] for i in aut}), edge_of, marks)
+                for aut in diagram_automorphisms(t)])
+
+
+def _finite_canonical_oracle(md):
+    """The canonical text of md from a fresh classify, every component
+    written by `_component_canonical_oracle`."""
+    ann = md.annotation_map
+    marks = {v: f"x[{ann[v]}]" if v in ann else "x" for v in md.crossed}
+    edge_of = _edge_lookup(md.diagram.adjacency())
+    parts = sorted([_component_canonical_oracle(t, mapping, edge_of, marks) for t, mapping in classify(md.diagram)])
+    if md.sigma_pairs is not None and parts:
+        return " + ".join(parts[::2] * 2) + " ~sigma"
+    return " + ".join(parts)
+
+
+TYPES_TO_RANK_40 = (
+    [CartanType("A", n) for n in range(1, 41)]
+    + [CartanType("B", n) for n in range(2, 41)]
+    + [CartanType("C", n) for n in range(2, 41)]
+    + [CartanType("D", n) for n in range(3, 41)]
+    + [CartanType(f, n) for f, n in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))]
+)
+
+
+def _random_marking(rng, d):
+    """d with about a third of its nodes crossed and some of those
+    annotated; 12 against 2 tells a text order from a token order."""
+    crossed = {v for v in d.nodes if rng.random() < 0.3}
+    return marked(d, crossed, {v: rng.choice((2, 3, 12)) for v in sorted(crossed) if rng.random() < 0.3})
+
+
+def _assert_template_writes_as_the_spine_walk(rng, md):
+    """md and three relabellings of it: the writer gives the oracle's text."""
+    text = _finite_canonical_oracle(md)
+    assert to_canonical_text(md) == text
+    for _ in range(3):
+        ids = rng.sample(range(10 * len(md.diagram.nodes) + 10), len(md.diagram.nodes))
+        assert to_canonical_text(_relabel_marked(md, dict(zip(md.diagram.nodes, ids)))) == text
+
+
+@pytest.mark.parametrize("family", "ABCDEFG")
+def test_finite_templates_match_the_spine_walk_to_rank_40(family):
+    rng = random.Random(f"finite-templates-{family}")
+    for t in TYPES_TO_RANK_40:
+        if t.family == family:
+            _assert_template_writes_as_the_spine_walk(rng, _random_marking(rng, standard_diagram(t)))
+
+
+def test_finite_templates_match_the_spine_walk_on_random_unions():
+    rng = random.Random("finite-template-unions")
+    for _ in range(200):
+        pool = rng.choice((TYPES_TO_RANK_40, TYPES_TO_RANK_40[:4]))  # the short one repeats types
+        types = [rng.choice(pool) for _ in range(rng.randint(2, 4))]
+        nodes, edges = [], set()
+        for t in types:
+            part = standard_diagram(t, list(range(len(nodes) + 1, len(nodes) + t.rank + 1)))
+            nodes += part.nodes
+            edges |= set(part.edges)
+        _assert_template_writes_as_the_spine_walk(rng, _random_marking(rng, DynkinDiagram(nodes, edges)))
+
+
+def test_finite_templates_match_the_spine_walk_on_z_and_vmrt_diagrams_to_rank_30():
+    # Written from vmrt's own classes, against a fresh classify.
+    sigma = 0
+    for e in enumerate_entries(30):
+        v, zclasses, classes = _vmrt(e)
+        for d, k in zip(v.z + v.components, zclasses + classes):
+            assert _finite_canonical(d, k) == _finite_canonical_oracle(d), e.name
+            sigma += d.sigma_pairs is not None
+    assert sigma
+
+
+# ---------------------------------------------------------------------------
+# Edges as one sorted tuple: set semantics
+
+
+@SETTINGS
+@given(graphs(), st.data())
+def test_diagram_equality_ignores_edge_order_repeats_and_container(d, data):
+    repeats = data.draw(st.lists(st.sampled_from(d.edges))) if d.edges else []
+    edges = data.draw(st.permutations(d.edges + tuple(repeats)))
+    container = data.draw(st.sampled_from([list, tuple, set, frozenset, iter]))
+    again = DynkinDiagram(reversed(d.nodes), container(edges))
+    assert again == d and hash(again) == hash(d) and again.edges == d.edges
+
+
+@SETTINGS
+@given(st.sampled_from(AFFINE_SHAPES), st.data())
+def test_affine_diagram_equality_ignores_edge_order(shape, data):
+    a = affine_diagram(*shape)
+    edges = data.draw(st.permutations(a.edges))
+    again = AffineDiagram(a.base, a.twist, a.nodes, data.draw(st.sampled_from([list, set]))(edges), a.labels)
+    assert again == a and hash(again) == hash(a) and again.edges == a.edges
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,22 @@ def test_kac_markings_reports_a_broken_marking(monkeypatch):
         check_dimension_formula(12)
 
 
+def test_lie_dimensions_keep_no_roots(monkeypatch):
+    # The check counts the roots of every type by the root-string closure
+    # and keeps the counts alone: it goes through no cache of roots, and a
+    # wrong count fails its row.
+    from kacvmrt.roots import positive_roots
+
+    verify._root_count.cache_clear()
+    before = positive_roots.cache_info()
+    assert verify._lie_dimensions(12).status == "PASS"
+    info = positive_roots.cache_info()
+    assert (info.hits, info.misses) == (before.hits, before.misses)
+    monkeypatch.setattr(verify, "_root_count", lambda t: t.num_positive_roots + (str(t) == "C7"))
+    row = verify._lie_dimensions(12)
+    assert (row.status, row.detail) == ("FAIL", "C7")
+
+
 @pytest.mark.parametrize("max_rank", [8, 12])
 def test_run_all_computes_one_vmrt_per_entry(monkeypatch, max_rank):
     # The golden, dims and folding checks take the VMRTs of the entries
