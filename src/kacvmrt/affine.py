@@ -56,7 +56,7 @@ class AffineDiagram(Record):
     def label(self, v: int) -> int:
         return self.labels[v]
 
-    def finite_part(self, drop: Tuple[int, ...] = (0,)) -> DynkinDiagram:
+    def finite_part(self, drop: Tuple[int, ...]) -> DynkinDiagram:
         drop_set = set(drop)
         return DynkinDiagram.restrict(self, [v for v in self.nodes if v not in drop_set])
 
@@ -112,26 +112,24 @@ def _kac_shape(base: CartanType, twist: int) -> Tuple[CartanType, Tuple[Bond, ..
         return base, bonds, (1,) + highest_root(base).coeffs
     if twist == 3 and (f, n) == ("D", 4):
         return CartanType("G", 2), ((1, 1, None),), (1, 2, 1)
-    if twist == 2:
+    if twist == 2 and f in "ADE":
         if (f, n) == ("E", 6):
             return CartanType("F", 4), ((4, 1, None),), (1, 1, 2, 3, 2)
         if (f, n) == ("A", 2):
             return CartanType("A", 1), ((1, 4, 1),), (1, 2)
+        l = affine_node_count(f, n, twist) - 1
         if f == "A" and n >= 4 and n % 2 == 0:  # A_2l^(2)
-            l = n // 2
             return CartanType("B", l), ((1, 2, 1),), (1,) + (2,) * l
         if f == "A" and n >= 5:  # A_{2l-1}^(2)
-            l = (n + 1) // 2
             return CartanType("C", l), ((2, 1, None),), (1, 1) + (2,) * (l - 2) + (1,)
         if f == "D" or (f, n) == ("A", 3):  # D_{l+1}^(2), and A_3^(2) = D_3^(2)
-            l = n - 1 if f == "D" else 2
             return CartanType("B", l), ((1, 2, 0),), (1,) * (l + 1)
     raise ValueError("no such twisted type")
 
 
 def affine_node_count(family: str, rank: int, twist: int) -> int:
     """Node count of family_rank^(twist) without building it: one more than
-    the rank of the finite part left by deleting node 0."""
+    the rank l of the finite part, which only this states for twisted types."""
     if twist == 1:
         return rank + 1
     if twist == 3:

@@ -2,9 +2,10 @@
 
 One parametrised row per family: the Cartan class label, the space kind,
 the marked Kac diagram (base, twist, white nodes), the restricted root
-system, and the boundary degree.  Restricted types and boundary degrees
-are stored data validated downstream by dimension consistency; the marked
-Kac data is validated against the white-node rules at construction.
+system, and the boundary degree.  Restricted types are stored data
+validated downstream by dimension consistency, and the boundary degree is
+computed from them (2 for type A, else 1); the marked Kac data is
+validated against the white-node rules at construction.
 
 Parameter ranges are chosen so the enumeration lists every space exactly
 once (low-rank coincidences such as SL_4/SO_4 = SO_6/S(O_3 x O_3) are kept
@@ -112,11 +113,13 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
-# The Kac diagram of each parametrised family at parameter n, as (base
-# family, base rank, twist).  The builders take their base from here, and
-# enumeration reads node counts off it before building any row.
+# The Kac diagram of every row as (base family, base rank, twist) at
+# parameter n (a fixed row's ignores n).  The rows take their base from
+# here, and enumeration reads node counts off it before building any row.
 _KAC_SHAPES: Dict[str, Callable[[int], Tuple[str, int, int]]] = {
-    **{f"group-{f}": (lambda n, f=f: (f, n, 1)) for f in "ABCDEFG"},
+    **{f"group-{f}": (lambda n, f=f: (f, n, 1)) for f in "ABCDE"},
+    "group-F": lambda n: ("F", 4, 1),
+    "group-G": lambda n: ("G", 2, 1),
     "AI": lambda n: ("A", 2 * n, 2),
     "AI-even": lambda n: ("A", 2 * n - 1, 2),
     "AII": lambda n: ("A", 2 * n - 1, 2),
@@ -132,10 +135,23 @@ _KAC_SHAPES: Dict[str, Callable[[int], Tuple[str, int, int]]] = {
     "herm-DI": lambda n: ("D", n, 1),
     "herm-DIII-odd": lambda n: ("D", 2 * n + 1, 1),
     "herm-DIII-even": lambda n: ("D", 2 * n, 1),
+    "EI": lambda n: ("E", 6, 2),
+    "EII": lambda n: ("E", 6, 1),
+    "EIV": lambda n: ("E", 6, 2),
+    "EV": lambda n: ("E", 7, 1),
+    "EVI": lambda n: ("E", 7, 1),
+    "EVIII": lambda n: ("E", 8, 1),
+    "EIX": lambda n: ("E", 8, 1),
+    "FI": lambda n: ("F", 4, 1),
+    "FII": lambda n: ("F", 4, 1),
+    "G": lambda n: ("G", 2, 1),
+    "herm-AI": lambda n: ("A", 1, 1),
+    "herm-EIII": lambda n: ("E", 6, 1),
+    "herm-EVII": lambda n: ("E", 7, 1),
 }
 
 
-def _kac(label: str, n: int) -> Tuple[CartanType, int]:
+def _kac(label: str, n: int = 0) -> Tuple[CartanType, int]:
     fam, rank, twist = _KAC_SHAPES[label](n)
     return CartanType(fam, rank), twist
 
@@ -299,58 +315,37 @@ def _herm_diii_even(n: int) -> SymmetricSpaceEntry:
                   RestrictedType("C", n))
 
 
-# The Kac diagram of each fixed row, as (base, twist): the rows take it
-# from here, and enumeration reads node counts off it before building any
-# row.
-_FIXED_KAC: Dict[str, Tuple[CartanType, int]] = {
-    "group-F": (CartanType("F", 4), 1),
-    "group-G": (CartanType("G", 2), 1),
-    "EI": (CartanType("E", 6), 2),
-    "EII": (CartanType("E", 6), 1),
-    "EIV": (CartanType("E", 6), 2),
-    "EV": (CartanType("E", 7), 1),
-    "EVI": (CartanType("E", 7), 1),
-    "EVIII": (CartanType("E", 8), 1),
-    "EIX": (CartanType("E", 8), 1),
-    "FI": (CartanType("F", 4), 1),
-    "FII": (CartanType("F", 4), 1),
-    "G": (CartanType("G", 2), 1),
-    "herm-AI": (CartanType("A", 1), 1),
-    "herm-EIII": (CartanType("E", 6), 1),
-    "herm-EVII": (CartanType("E", 7), 1),
-}
-
 _FIXED_ROWS: Dict[str, Callable[[], SymmetricSpaceEntry]] = {
     "group-F": lambda: _group_entry("F", 4),
     "group-G": lambda: _group_entry("G", 2),
-    "EI": lambda: _entry("EI", {}, "simple", "E_6", "C_4", *_FIXED_KAC["EI"], (1,),
+    "EI": lambda: _entry("EI", {}, "simple", "E_6", "C_4", *_kac("EI"), (1,),
                          RestrictedType("E", 6)),
-    "EII": lambda: _entry("EII", {}, "simple", "E_6", "A_5 x A_1", *_FIXED_KAC["EII"], (2,),
+    "EII": lambda: _entry("EII", {}, "simple", "E_6", "A_5 x A_1", *_kac("EII"), (2,),
                           RestrictedType("F", 4)),
-    "EIV": lambda: _entry("EIV", {}, "simple", "E_6", "F_4", *_FIXED_KAC["EIV"], (0,),
+    "EIV": lambda: _entry("EIV", {}, "simple", "E_6", "F_4", *_kac("EIV"), (0,),
                           RestrictedType("A", 2), notes=(NOTE_EIV,)),
-    "EV": lambda: _entry("EV", {}, "simple", "E_7", "A_7", *_FIXED_KAC["EV"], (2,),
+    "EV": lambda: _entry("EV", {}, "simple", "E_7", "A_7", *_kac("EV"), (2,),
                          RestrictedType("E", 7)),
-    "EVI": lambda: _entry("EVI", {}, "simple", "E_7", "D_6 x A_1", *_FIXED_KAC["EVI"], (6,),
+    "EVI": lambda: _entry("EVI", {}, "simple", "E_7", "D_6 x A_1", *_kac("EVI"), (6,),
                           RestrictedType("F", 4)),
-    "EVIII": lambda: _entry("EVIII", {}, "simple", "E_8", "D_8", *_FIXED_KAC["EVIII"], (1,),
+    "EVIII": lambda: _entry("EVIII", {}, "simple", "E_8", "D_8", *_kac("EVIII"), (1,),
                             RestrictedType("E", 8)),
-    "EIX": lambda: _entry("EIX", {}, "simple", "E_8", "E_7 x A_1", *_FIXED_KAC["EIX"], (8,),
+    "EIX": lambda: _entry("EIX", {}, "simple", "E_8", "E_7 x A_1", *_kac("EIX"), (8,),
                           RestrictedType("F", 4)),
-    "FI": lambda: _entry("FI", {}, "simple", "F_4", "C_3 x A_1", *_FIXED_KAC["FI"], (1,),
+    "FI": lambda: _entry("FI", {}, "simple", "F_4", "C_3 x A_1", *_kac("FI"), (1,),
                          RestrictedType("F", 4)),
-    "FII": lambda: _entry("FII", {}, "simple", "F_4", "B_4", *_FIXED_KAC["FII"], (4,),
+    "FII": lambda: _entry("FII", {}, "simple", "F_4", "B_4", *_kac("FII"), (4,),
                           RestrictedType("BC", 1)),
-    "G": lambda: _entry("G", {}, "simple", "G_2", "A_1 x A_1", *_FIXED_KAC["G"], (2,),
+    "G": lambda: _entry("G", {}, "simple", "G_2", "A_1 x A_1", *_kac("G"), (2,),
                         RestrictedType("G", 2)),
     "herm-AI": lambda: _entry("herm-AI", {}, "hermitian-nonexceptional", "PGL_2", "PO_2",
-                              *_FIXED_KAC["herm-AI"], (0, 1), RestrictedType("A", 1),
+                              *_kac("herm-AI"), (0, 1), RestrictedType("A", 1),
                               proj_dim=1),
     "herm-EIII": lambda: _entry("herm-EIII", {}, "hermitian-exceptional", "E_6^ad",
-                                "D_5 x C*", *_FIXED_KAC["herm-EIII"], (0, 1),
+                                "D_5 x C*", *_kac("herm-EIII"), (0, 1),
                                 RestrictedType("BC", 2)),
     "herm-EVII": lambda: _entry("herm-EVII", {}, "hermitian-nonexceptional", "E_7^ad",
-                                "E_6 x C*", *_FIXED_KAC["herm-EVII"], (0, 7),
+                                "E_6 x C*", *_kac("herm-EVII"), (0, 7),
                                 RestrictedType("C", 3)),
 }
 
@@ -447,8 +442,7 @@ def kac_diagram(e: SymmetricSpaceEntry) -> MarkedKacDiagram:
 
 def _family_instances(label: str, max_nodes: int) -> Iterable[SymmetricSpaceEntry]:
     if label in _FIXED_ROWS:
-        base, twist = _FIXED_KAC[label]
-        if affine_node_count(base.family, base.rank, twist) <= max_nodes:
+        if affine_node_count(*_KAC_SHAPES[label](0)) <= max_nodes:
             yield _FIXED_ROWS[label]()
         return
     # Node counts grow with n and do not depend on m, so the cut on n is

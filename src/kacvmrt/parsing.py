@@ -16,7 +16,6 @@ from .diagrams import (
     DynkinDiagram,
     Edge,
     UnrecognizedDiagram,
-    _cartan_type,
     _edge,
     _mark_key,
     classify,
@@ -183,8 +182,7 @@ def _read_kac_text(s: str) -> Optional[MarkedKacDiagram]:
         return None
     from .recognition import affine_candidates
 
-    for f, n, twist in affine_candidates(k - 1):
-        base = _cartan_type(f, n)
+    for base, twist, _ in affine_candidates(k - 1):
         text, images = _affine_template(base, twist)
         # Each of the k "%s" slots takes one letter: compare lengths first.
         if len(text) - k == len(s) and text % tuple(letters) == s:

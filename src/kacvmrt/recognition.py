@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .affine import MAX_RANK, AffineDiagram, _kac_shape, affine_diagram, affine_node_count
+from .affine import MAX_RANK, AffineDiagram, _kac_shape, affine_diagram
 from .diagrams import DynkinDiagram, Edge, UnrecognizedDiagram, _edge_signature, classify, diagram_automorphisms
 from .roots import CartanType
 
@@ -86,26 +86,24 @@ def affine_automorphisms(a: AffineDiagram) -> Tuple[Tuple[int, ...], ...]:
     return _shape(a.base, a.twist)[0]
 
 
-@lru_cache(maxsize=None)
-def _node_zero_key(family: str, rank: int, twist: int) -> Optional[tuple]:
-    """Node 0's deletion key, read off the type's Kac shape; None if there
-    is no such affine type."""
-    try:
-        t, bonds, _ = _kac_shape(CartanType(family, rank), twist)
-    except ValueError:
-        return None
-    att = [(i,) + _edge_signature(Edge(0, i, mult, short), 0) for i, mult, short in bonds]
-    return _key(t, tuple(sorted(att)))
-
-
 @lru_cache(maxsize=MAX_RANK + 1)
-def affine_candidates(r: int) -> Tuple[Tuple[str, int, int], ...]:
-    """The affine types of r + 1 nodes as (family, rank, twist), in the
-    order that names coinciding shapes: the first one listed wins."""
+def affine_candidates(r: int) -> Tuple[Tuple[CartanType, int, tuple], ...]:
+    """The affine types of r + 1 nodes as (base, twist, node 0's deletion
+    key, read off the type's Kac shape), in the order that names coinciding
+    shapes: the first one listed wins."""
     order = [(f, r, 1) for f in "ABCDEFG"] + [
         ("A", 2 * r, 2), ("A", 2 * r - 1, 2), ("D", r + 1, 2), ("E", 6, 2), ("D", 4, 3)]
-    return tuple([(f, n, twist) for f, n, twist in order
-                  if affine_node_count(f, n, twist) == r + 1 and _node_zero_key(f, n, twist) is not None])
+    out = []
+    for f, n, twist in order:
+        try:
+            base = CartanType(f, n)
+            t, bonds, _ = _kac_shape(base, twist)
+        except ValueError:  # no such affine type
+            continue
+        if t.rank == r:  # the finite part of r + 1 nodes
+            att = [(i,) + _edge_signature(Edge(0, i, mult, short), 0) for i, mult, short in bonds]
+            out.append((base, twist, _key(t, tuple(sorted(att)))))
+    return tuple(out)
 
 
 def recognize_affine(d: DynkinDiagram) -> Optional[Tuple[AffineDiagram, Dict[int, int]]]:
@@ -125,11 +123,11 @@ def recognize_affine(d: DynkinDiagram) -> Optional[Tuple[AffineDiagram, Dict[int
             key, src = _delete(d, adj, x)
         except UnrecognizedDiagram:
             continue
-        for f, n, twist in candidates:
-            if _node_zero_key(f, n, twist) != key:
+        for base, twist, zero_key in candidates:
+            if zero_key != key:
                 continue
-            a = affine_diagram(CartanType(f, n), twist)
-            auts, zero = _shape(a.base, twist)
+            a = affine_diagram(base, twist)
+            auts, zero = _shape(base, twist)
             iso = _extensions(src, zero)[0]
             if not _carries(iso, d.edges, a.edges):
                 return None

@@ -70,10 +70,11 @@ MUTANTS: Tuple[Mutant, ...] = (
            'return m if _affine_canonical(a, dict.fromkeys(m.white, "O")) == s else None',
            "return m",
            ("tests/test_oracles.py", "tests/test_render.py")),
-    # Affine candidates keep the types whose node 0 has no deletion key.
+    # Affine candidates keep the types whose finite part has another rank,
+    # so E_6^(2) and D_4^(3) are listed for every node count.
     Mutant("affine-candidates-unfiltered", "recognition.py",
-           " and _node_zero_key(f, n, twist) is not None",
-           "",
+           "if t.rank == r:  # the finite part of r + 1 nodes",
+           "if True:",
            ("tests/test_oracles.py", "tests/test_render.py")),
     # The reader hands over the classes of a finite text less its first
     # component.
@@ -101,6 +102,18 @@ MUTANTS: Tuple[Mutant, ...] = (
            "        column[e.a] += labels[e.b] * _pairing(e, e.a)\n",
            "",
            ("tests/test_affine.py",)),
+    # A_{2l-1}^(2) counted as l nodes: the one statement of a twisted
+    # type's finite rank, which its Kac shape reads too, is off by one.
+    Mutant("twisted-a-rank-halved-down", "affine.py",
+           '{"A": (rank + 1) // 2,',
+           '{"A": rank // 2,',
+           ("tests/test_affine.py",)),
+    # EII's Kac diagram read as E_7^(1), whose node 2 also has label 2, so
+    # the white-node rule still passes.
+    Mutant("fixed-row-wrong-kac-shape", "atlas.py",
+           '"EII": lambda n: ("E", 6, 1),',
+           '"EII": lambda n: ("E", 7, 1),',
+           ("tests/test_atlas.py",)),
     # Node 0's deletion key reads its bonds from the far end.
     Mutant("node-zero-key-seen-from-far-end", "recognition.py",
            "_edge_signature(Edge(0, i, mult, short), 0)",

@@ -70,6 +70,40 @@ def test_lookup_errors_name_bounds():
             lookup(label, params)
 
 
+@pytest.mark.parametrize("label,params", [
+    ("AI", {"n": 10**30}), ("AI-even", {"n": 10**30}), ("AII", {"n": 10**30}),
+    ("DII", {"n": 10**30}), ("DI-odd", {"n": 10**30, "m": 1})])
+def test_twisted_rows_past_the_bound_fail_before_any_build(label, params, monkeypatch):
+    # The node count comes from the rank in O(1): building the Kac labels of
+    # a type of rank 10**30 to count them would overflow, not name the bound.
+    def entry(*args, **kwargs):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(atlas, "_entry", entry)
+    with pytest.raises(ValueError, match="MAX_RANK"):
+        lookup(label, params)
+
+
+# The rows that lookup gives at n = -1, 0, 1, 2 (m = 1 for two-parameter
+# families); every other such n is below its family's least.
+SMALL_N_ROWS = {("group-A", 1), ("group-A", 2), ("group-B", 2), ("AI", 1), ("AI", 2),
+                ("AI-even", 2), ("BII", 2), ("CII", 2), ("herm-CI", 2),
+                ("herm-DIII-odd", 2), ("herm-DIII-even", 2)}
+
+
+@pytest.mark.parametrize("label", list(_N_FAMILIES) + list(_NM_FAMILIES))
+def test_small_n_gives_the_row_or_its_own_requirement(label):
+    for n in (-1, 0, 1, 2):
+        params = {"n": n} if label in _N_FAMILIES else {"n": n, "m": 1}
+        if (label, n) in SMALL_N_ROWS:
+            assert dict(lookup(label, params).params) == params, (label, n)
+            continue
+        with pytest.raises(ValueError) as err:
+            lookup(label, params)
+        own = "is not a finite type" if label == "group-E" else f"{label} requires"
+        assert own in str(err.value) and "MAX_RANK" not in str(err.value), (label, n)
+
+
 def test_bi_parameter_normalisation():
     # S(O_m x O_{2n+1-m}) is symmetric in the two factors
     assert lookup("BI", {"n": 4, "m": 3}) == lookup("BI", {"n": 4, "m": 6})
@@ -164,9 +198,16 @@ def test_enumerate_builds_each_row_once(k, monkeypatch):
 
 
 def test_fixed_rows_have_the_kac_diagram_they_are_cut_on():
+    # A fixed row is built on the shape the cut reads, and the cut keeps it
+    # from exactly its built diagram's node count on.
     for label, build in _FIXED_ROWS.items():
         e = build()
-        assert (e.kac_base, e.kac_twist) == atlas._FIXED_KAC[label], label
+        fam, rank, twist = atlas._KAC_SHAPES[label](0)
+        assert (e.kac_base, e.kac_twist) == (CartanType(fam, rank), twist), label
+        nodes = e.kac_diagram().diagram.num_nodes
+        assert e.num_kac_nodes == nodes, label
+        assert list(atlas._family_instances(label, nodes - 1)) == [], label
+        assert list(atlas._family_instances(label, nodes)) == [e], label
 
 
 def test_every_entry_satisfies_marking_rule():

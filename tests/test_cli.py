@@ -287,6 +287,7 @@ FRESH_MODULES = {
     "dim": (_main("dim", "x-o-o"), _CLI | {"parsing"}),
     "fold": (_main("fold", "ab", "x[2]-o-o-o"), _CLI | {"folding", "parsing", "presentation"}),
     "kac": (_main("kac", "AI", "--n", "3"), _CLI | {"atlas", "presentation"}),
+    "kac canonical": (_main("kac", "AI", "--n", "3", "--format", "canonical"), _CLI | {"atlas", "recognition"}),
     "list": (_main("list", "--max-rank", "4"), _CLI | {"atlas"}),
     "vmrt canonical": (_main("vmrt", "herm-CI", "--n", "4", "--format", "canonical"), _CLI | {"atlas", "engine"}),
 }

@@ -726,7 +726,8 @@ def test_non_canonical_writings_miss_the_templates(text, writing):
 
 def test_candidates_are_catalogue_types():
     # Two nodes would also name A_1^(2) and D_2^(2), which do not exist.
-    assert affine_candidates(1) == (("A", 1, 1), ("A", 2, 2))
+    assert [(base, twist) for base, twist, _ in affine_candidates(1)] == [
+        (CartanType("A", 1), 1), (CartanType("A", 2), 2)]
     assert affine_candidates(0) == ()
 
 
