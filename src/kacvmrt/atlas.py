@@ -41,7 +41,7 @@ class RestrictedType(OrderedRecord):
 
 class SymmetricSpaceEntry(Record):
     __slots__ = ("label", "params", "kind", "g_desc", "h_desc", "kac_base", "kac_twist",
-                 "kac_white", "restricted", "boundary_degree", "isotropy_proj_dim", "notes")
+                 "kac_white", "restricted", "boundary_degree", "notes")
 
     def __init__(
         self,
@@ -55,11 +55,10 @@ class SymmetricSpaceEntry(Record):
         kac_white: Tuple[int, ...],
         restricted: RestrictedType,
         boundary_degree: int,
-        isotropy_proj_dim: Optional[int] = None,  # dim P(p), stored for restricted A_1
         notes: Tuple[str, ...] = (),
     ) -> None:
         self._set(label, params, kind, g_desc, h_desc, kac_base, kac_twist, kac_white,
-                  restricted, boundary_degree, isotropy_proj_dim, notes)
+                  restricted, boundary_degree, notes)
 
     @property
     def name(self) -> str:
@@ -87,7 +86,7 @@ NOTE_QUADRIC = (
 )
 
 
-def _entry(label, params, kind, g, h, base, twist, white, restricted, notes=(), proj_dim=None):
+def _entry(label, params, kind, g, h, base, twist, white, restricted, notes=()):
     boundary = 2 if restricted.is_type_a else 1
     e = SymmetricSpaceEntry(
         label=label,
@@ -100,7 +99,6 @@ def _entry(label, params, kind, g, h, base, twist, white, restricted, notes=(), 
         kac_white=tuple(sorted(white)),
         restricted=restricted,
         boundary_degree=boundary,
-        isotropy_proj_dim=proj_dim,
         notes=tuple(notes),
     )
     if not validate_kac_marking(e.kac_diagram(), kind):
@@ -177,12 +175,13 @@ def _group_entry(fam: str, n: int) -> SymmetricSpaceEntry:
         _require(n >= _GROUP_MIN_RANK[fam],
                  f"group-{fam} requires n >= {_GROUP_MIN_RANK[fam]} "
                  f"(smaller ranks duplicate another family)")
+    if fam == "E":
+        _require(6 <= n <= 8, "group-E requires 6 <= n <= 8")
     h = _GROUP_NAMES[fam](n)
-    proj = 2 if (fam, n) == ("A", 1) else None
     return _entry(
         f"group-{fam}", {"n": n} if fam in "ABCD" or fam == "E" else {},
         "group", f"{h} x {h}", h, *_kac(f"group-{fam}", n), (0,),
-        RestrictedType(fam, n), proj_dim=proj,
+        RestrictedType(fam, n),
     )
 
 
@@ -225,8 +224,7 @@ def _bi(n: int, m: int) -> SymmetricSpaceEntry:
 def _bii(n: int) -> SymmetricSpaceEntry:
     _require(n >= 2, "BII requires n >= 2 (n = 1 is the Hermitian AI row)")
     return _entry("BII", {"n": n}, "simple", f"SO_{2 * n + 1}", f"O_{2 * n}",
-                  *_kac("BII", n), (n,), RestrictedType("A", 1),
-                  proj_dim=2 * n - 1)
+                  *_kac("BII", n), (n,), RestrictedType("A", 1))
 
 
 def _cii(n: int, m: int) -> SymmetricSpaceEntry:
@@ -263,8 +261,7 @@ def _di_even(n: int, m: int) -> SymmetricSpaceEntry:
 def _dii(n: int) -> SymmetricSpaceEntry:
     _require(n >= 3, "DII requires n >= 3")
     return _entry("DII", {"n": n}, "simple", f"SO_{2 * n}", f"O_{2 * n - 1}",
-                  *_kac("DII", n), (0,), RestrictedType("A", 1),
-                  proj_dim=2 * n - 2)
+                  *_kac("DII", n), (0,), RestrictedType("A", 1))
 
 
 def _herm_aiii(n: int, m: int) -> SymmetricSpaceEntry:
@@ -339,8 +336,7 @@ _FIXED_ROWS: Dict[str, Callable[[], SymmetricSpaceEntry]] = {
     "G": lambda: _entry("G", {}, "simple", "G_2", "A_1 x A_1", *_kac("G"), (2,),
                         RestrictedType("G", 2)),
     "herm-AI": lambda: _entry("herm-AI", {}, "hermitian-nonexceptional", "PGL_2", "PO_2",
-                              *_kac("herm-AI"), (0, 1), RestrictedType("A", 1),
-                              proj_dim=1),
+                              *_kac("herm-AI"), (0, 1), RestrictedType("A", 1)),
     "herm-EIII": lambda: _entry("herm-EIII", {}, "hermitian-exceptional", "E_6^ad",
                                 "D_5 x C*", *_kac("herm-EIII"), (0, 1),
                                 RestrictedType("BC", 2)),

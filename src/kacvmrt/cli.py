@@ -91,11 +91,11 @@ def _finite_marked(args) -> Tuple[MarkedDynkinDiagram, Classes]:
 
 def _entry_json(e) -> dict:
     # The Z and VMRT texts are written from the classes vmrt already holds.
-    from .engine import _vmrt
+    from .engine import vmrt
 
-    v, zclasses, classes = _vmrt(e)
-    z = [_finite_canonical(c, k) for c, k in zip(v.z, zclasses)]
-    vmrt_texts = z if v.components is v.z else [_finite_canonical(c, k) for c, k in zip(v.components, classes)]
+    v = vmrt(e)
+    z = [_finite_canonical(c, k) for c, k in zip(v.z, v.z_classes)]
+    vmrt_texts = z if v.components is v.z else [_finite_canonical(c, k) for c, k in zip(v.components, v.classes)]
     return {
         "label": e.label,
         "params": dict(e.params),

@@ -171,7 +171,8 @@ def _name(v: MarkedDynkinDiagram, classes: Classes) -> str:
 
 
 class VMRTDescription(Record):
-    __slots__ = ("kind", "components", "dimension", "identification", "z", "z_dim", "ambient_note")
+    __slots__ = ("kind", "components", "dimension", "identification", "z", "z_dim", "z_classes",
+                 "classes", "ambient_note")
 
     def __init__(
         self,
@@ -181,9 +182,12 @@ class VMRTDescription(Record):
         identification: str,
         z: Tuple[MarkedDynkinDiagram, ...],  # the closed orbit Z, as z_orbit_diagram gives it
         z_dim: int,
+        z_classes: Tuple[Classes, ...],  # classify of each z diagram
+        classes: Tuple[Classes, ...],  # classify of each components diagram
         ambient_note: str = "",
     ) -> None:
-        self._set(kind, components, dimension, identification, z, z_dim, ambient_note)
+        self._set(kind, components, dimension, identification, z, z_dim, z_classes, classes,
+                  ambient_note)
 
 
 def _type_a_table(e: SymmetricSpaceEntry) -> Tuple[MarkedDynkinDiagram, Classes, str]:
@@ -213,48 +217,46 @@ def _type_a_table(e: SymmetricSpaceEntry) -> Tuple[MarkedDynkinDiagram, Classes,
 
 def vmrt(e: SymmetricSpaceEntry) -> VMRTDescription:
     """The variety of minimal rational tangents of the wonderful
-    compactification of e, as marked diagram(s) plus dimension and name."""
-    return _vmrt(e)[0]
-
-
-def _vmrt(e: SymmetricSpaceEntry) -> Tuple[VMRTDescription, Tuple[Classes, ...], Tuple[Classes, ...]]:
-    """vmrt(e) and the classes of each of its z and components diagrams,
-    as the canonical writer takes them."""
+    compactification of e, as marked diagram(s) plus dimension and name,
+    with the classes of each diagram as the canonical writer takes them."""
     zs, zdim, ident, zclasses = _z_orbit(e.kac_diagram(), e.kind)
     if not e.restricted.is_type_a:
-        v = VMRTDescription(
+        return VMRTDescription(
             kind="legendrian-Z",
             components=zs,
             dimension=zdim,
             identification=ident,
             z=zs, z_dim=zdim,
+            z_classes=zclasses, classes=zclasses,
         )
-        return v, zclasses, zclasses
     if e.restricted.rank >= 2:
         gp, classes, note = _type_a_table(e)
-        v = VMRTDescription(
+        return VMRTDescription(
             kind="typeA-GPlambda",
             components=(gp,),
             dimension=zdim + 1,
             identification=_name(gp, classes),
             z=zs, z_dim=zdim,
+            z_classes=zclasses, classes=(classes,),
             ambient_note=note,
         )
-        return v, zclasses, (classes,)
-    # Restricted type A_1: the VMRT is all of P(T_pX) = P(p).
-    k = e.isotropy_proj_dim
-    if k is None:
-        raise AssertionError(f"entry {e.name} lacks its stored dim P(p)")
+    # Restricted type A_1: the VMRT is all of P(T_pX) = P(p).  By the Kac
+    # grading (Kac, Infinite-Dimensional Lie Algebras, Ch. 8), dim p = dim g
+    # - dim g_0, g_0 being the finite part Z marks (one copy if sigma-paired)
+    # plus a centre of dimension #white - 1.
+    levi = zclasses[0][:len(zclasses[0]) // 2] if zs[0].sigma_pairs is not None else zclasses[0]
+    k = (e.kac_base.algebra_dimension * (2 if e.kind == "group" else 1)  # g = h x h for group type
+         - sum([t.algebra_dimension for t, _ in levi]) - len(e.kac_white))
     t = CartanType("A", k)
-    v = VMRTDescription(
+    return VMRTDescription(
         kind="full-projective-space",
         components=(standard_marked(t, {1}),),
         dimension=k,
         identification=f"P^{k}",
         z=zs, z_dim=zdim,
+        z_classes=zclasses, classes=((_bourbaki(t),),),
         ambient_note="C_p = P(T_pX) = P(p)",
     )
-    return v, zclasses, ((_bourbaki(t),),)
 
 
 # ---------------------------------------------------------------------------
@@ -275,29 +277,26 @@ def entry_folding_pair(e: SymmetricSpaceEntry) -> str:
     return pair
 
 
-def fold_consistency(e: SymmetricSpaceEntry, v: Optional[VMRTDescription] = None,
-                     classes: Optional[Classes] = None, zclasses: Optional[Classes] = None) -> bool:
+def fold_consistency(e: SymmetricSpaceEntry, v: Optional[VMRTDescription] = None) -> bool:
     """Does folding the ambient VMRT diagram reproduce the Z diagram?  v is
-    vmrt(e) when the caller has it, and classes and zclasses, if given, are
-    the classes of its ambient and Z diagrams, as _vmrt gives them."""
+    vmrt(e) when the caller has it; the fold and the match take its classes."""
     from .folding import _fold
 
     pair = entry_folding_pair(e)
-    if v is None:
-        v, (zclasses,), (classes,) = _vmrt(e)
+    v = vmrt(e) if v is None else v
     (z,) = v.z
-    folded, folded_classes = _fold(v.components[0], pair, classes)
-    return find_marked_isomorphism(folded, z, folded_classes, zclasses) is not None
+    folded, folded_classes = _fold(v.components[0], pair, v.classes[0])
+    return find_marked_isomorphism(folded, z, folded_classes, v.z_classes[0]) is not None
 
 
-def contact_grading_check(e: SymmetricSpaceEntry, v: Optional[VMRTDescription] = None,
-                          classes: Optional[Classes] = None) -> bool:
+def contact_grading_check(e: SymmetricSpaceEntry, v: Optional[VMRTDescription] = None) -> bool:
     """Group type only: the grading by the crossed nodes of Z has depth 2
     with one-dimensional top piece (the contact gradation); v, if given, is
-    vmrt(e), and classes, if given, is classify of Z's diagram."""
+    vmrt(e)."""
     if e.kind != "group":
         raise ValueError(f"{e.name} is not of group type")
-    (z,) = z_orbit_diagram(e.kac_diagram(), e.kind) if v is None else v.z
-    dims = graded_dimensions(z.diagram, z.crossed, classes)
+    v = vmrt(e) if v is None else v
+    (z,) = v.z
+    dims = graded_dimensions(z.diagram, z.crossed, v.z_classes[0])
     top = max(dims)
     return top == 2 and dims[2] == 1

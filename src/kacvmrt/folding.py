@@ -39,7 +39,7 @@ def _fold_orbits(pair: str, t: CartanType) -> Tuple[CartanType, Dict[int, int], 
         l = (n + 1) // 2
         target = CartanType("B", 2) if l == 2 else CartanType("C", l)
         orbit = {i: min(i, n + 1 - i) for i in range(1, n + 1)}
-        if l == 2:  # B_2 canonical form: the fixed (long) node is alpha_...
+        if l == 2:  # B_2 canonical form: the fixed (long) node is alpha_1.
             # A_3 -> C_2: orbit {1,3} -> short root, {2} -> long root.
             # In B_2 canonical labels the short root is alpha_2.
             orbit = {1: 2, 3: 2, 2: 1}

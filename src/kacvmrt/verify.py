@@ -18,8 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .affine import affine_diagram, kac_labels, validate_kac_marking
 from .atlas import SymmetricSpaceEntry, enumerate_entries, lookup
-from .diagrams import Classes, MarkedDynkinDiagram, find_marked_isomorphism, parabolic_dimension
-from .engine import VMRTDescription, _vmrt, contact_grading_check, fold_consistency
+from .diagrams import find_marked_isomorphism, parabolic_dimension
+from .engine import VMRTDescription, contact_grading_check, fold_consistency, vmrt
 from .folding import _fold
 from .render import _finite_canonical, to_canonical_text
 from .roots import CartanType, Record, positive_roots
@@ -147,18 +147,16 @@ def _entry_flags(e: SymmetricSpaceEntry) -> Tuple[str, ...]:
     return tuple([n.split(":", 1)[0] for n in e.notes])
 
 
-# _vmrt's results (the VMRT and the classes of its z and components
-# diagrams) by (label, params) as the atlas stores them, shared by the
-# checks of one run so that each entry's VMRT is computed once.
-Found = Tuple[VMRTDescription, Tuple[Classes, ...], Tuple[Classes, ...]]
-VMRTs = Dict[Tuple[str, tuple], Optional[Found]]
+# VMRTs by (label, params) as the atlas stores them, shared by the checks
+# of one run so that each entry's VMRT is computed once.
+VMRTs = Dict[Tuple[str, tuple], Optional[VMRTDescription]]
 
 
 def _vmrt_of(label: str, params: Optional[Dict[str, int]], vmrts: VMRTs):
-    """The entry and its _vmrt result, from vmrts or computed into it."""
+    """The entry and its VMRT, from vmrts or computed into it."""
     e = lookup(label, params)
     if vmrts.get((e.label, e.params)) is None:
-        vmrts[(e.label, e.params)] = _vmrt(e)
+        vmrts[(e.label, e.params)] = vmrt(e)
     return e, vmrts[(e.label, e.params)]
 
 
@@ -166,8 +164,8 @@ def check_golden_tables(vmrts: Optional[VMRTs] = None) -> List[CheckResult]:
     out: List[CheckResult] = []
     vmrts = {} if vmrts is None else vmrts
     for row in GOLDEN:
-        e, (v, _, classes) = _vmrt_of(row.label, row.params, vmrts)
-        got_texts = tuple([_finite_canonical(c, k) for c, k in zip(v.components, classes)])
+        e, v = _vmrt_of(row.label, row.params, vmrts)
+        got_texts = tuple([_finite_canonical(c, k) for c, k in zip(v.components, v.classes)])
         problems = []
         if got_texts != row.texts:
             problems.append(f"diagram {got_texts} != {row.texts}")
@@ -198,7 +196,7 @@ def check_exceptional_dimensions(vmrts: Optional[VMRTs] = None) -> List[CheckRes
     out = []
     vmrts = {} if vmrts is None else vmrts
     for label, params, name, want in _DIMENSION_ROWS:
-        got = _vmrt_of(label, params, vmrts)[1][0].dimension
+        got = _vmrt_of(label, params, vmrts)[1].dimension
         out.append(CheckResult("dims", name, "PASS" if got == want else "FAIL", f"{got} (want {want})"))
     return out
 
@@ -225,14 +223,14 @@ def check_folding(vmrts: Optional[VMRTs] = None) -> List[CheckResult]:
     vmrts = {} if vmrts is None else vmrts
     bad = []
     for label, params in _FOLDING_CASES:
-        e, (v, zclasses, classes) = _vmrt_of(label, params, vmrts)
-        if not fold_consistency(e, v, classes[0], zclasses[0]):
+        e, v = _vmrt_of(label, params, vmrts)
+        if not fold_consistency(e, v):
             bad.append(e.name)
     out = [_row("folding", f"{len(_FOLDING_CASES)} foldable entries", bad)]
     for label, params, pair, want, note in _FOLDING_DISPLAYS:
-        v, zclasses, classes = _vmrt_of(label, params, vmrts)[1]
-        got = _finite_canonical(*_fold(v.components[0], pair, classes[0]))
-        ok = got == want and got == _finite_canonical(v.z[0], zclasses[0])
+        v = _vmrt_of(label, params, vmrts)[1]
+        got = _finite_canonical(*_fold(v.components[0], pair, v.classes[0]))
+        ok = got == want and got == _finite_canonical(v.z[0], v.z_classes[0])
         out.append(CheckResult("folding", f"displayed folding {note}",
                                "PASS" if ok else "FAIL", got))
     return out
@@ -276,15 +274,13 @@ def _lie_dimensions(max_rank: int) -> CheckResult:
     return _row("self-checks", f"Lie dimension identities rank <= {max_rank}", bad)
 
 
-def _orbit_structure_ok(kind: str, zs: Tuple[MarkedDynkinDiagram, ...],
-                        zclasses: Tuple[Classes, ...]) -> bool:
-    """zclasses are the classes of each Z diagram, as _vmrt gives them."""
+def _orbit_structure_ok(kind: str, v: VMRTDescription) -> bool:
     if kind in ("group", "simple"):
-        return len(zs) == 1 and zs[0].sigma_pairs is None
+        return len(v.z) == 1 and v.z[0].sigma_pairs is None
     if kind == "hermitian-exceptional":
-        return len(zs) == 2 and find_marked_isomorphism(*zs, *zclasses) is not None
+        return len(v.z) == 2 and find_marked_isomorphism(*v.z, *v.z_classes) is not None
     # A sigma pairing is checked to match the halves when the Z is built.
-    return len(zs) == 1 and zs[0].sigma_pairs is not None
+    return len(v.z) == 1 and v.z[0].sigma_pairs is not None
 
 
 # The per-entry parts of five checks, in the order run_all reports them;
@@ -302,9 +298,9 @@ def _entry_pass(max_rank: int, parts: Sequence[str], vmrts: Optional[VMRTs] = No
     """One walk of the atlas up to max_rank, giving one row per part named
     in `parts`; the contact part checks the group entries up to
     contact_rank (default max_rank).  Each entry's Kac diagram and VMRT
-    (which carries Z and dim Z) are built once, shared by the parts and
-    dropped with the entry, unless its (label, params) is a key of vmrts:
-    its VMRT is kept there."""
+    (which carries Z, dim Z and the classes of each diagram) are built
+    once, shared by the parts and dropped with the entry, unless its
+    (label, params) is a key of vmrts: its VMRT is kept there."""
     bad: Dict[str, List[str]] = {p: [] for p in _ENTRY_PARTS}
     count = contacts = diagrams = 0
     label_keys = set()
@@ -334,12 +330,12 @@ def _entry_pass(max_rank: int, parts: Sequence[str], vmrts: Optional[VMRTs] = No
                    and e.kac_base != CartanType("A", 1))
         if _NEEDS_VMRT.isdisjoint(parts) and not contact:
             continue
-        v, zclasses, classes = found = _vmrt(e)
+        v = vmrt(e)
         if vmrts is not None and (e.label, e.params) in vmrts:
-            vmrts[(e.label, e.params)] = found
+            vmrts[(e.label, e.params)] = v
         if contact:
             contacts += 1
-            if not contact_grading_check(e, v, zclasses[0]):
+            if not contact_grading_check(e, v):
                 bad["contact"].append(e.name)
         if "dimension-formula" in parts:
             if v.dimension != v.z_dim + e.boundary_degree - 1:
@@ -347,11 +343,11 @@ def _entry_pass(max_rank: int, parts: Sequence[str], vmrts: Optional[VMRTs] = No
                     f"{e.name}: {v.dimension} != {v.z_dim}+{e.boundary_degree}-1")
             if e.restricted.is_type_a and e.restricted.rank >= 2:
                 gp = v.components[0]
-                gp_dim = parabolic_dimension(gp.diagram, gp.crossed, classes[0])
+                gp_dim = parabolic_dimension(gp.diagram, gp.crossed, v.classes[0])
                 if gp_dim != v.z_dim + 1:
                     bad["dimension-formula"].append(
                         f"{e.name}: ambient {gp_dim} != z+1 = {v.z_dim + 1}")
-        if "components" in parts and not _orbit_structure_ok(e.kind, v.z, zclasses):
+        if "components" in parts and not _orbit_structure_ok(e.kind, v):
             bad["components"].append(e.name)
         if "round-trip" in parts:
             # A Legendrian entry's VMRT diagrams are its Z diagrams: each
@@ -360,9 +356,9 @@ def _entry_pass(max_rank: int, parts: Sequence[str], vmrts: Optional[VMRTs] = No
             # each text afresh and the read-back text is written from that,
             # so the row checks vmrt's classes too.
             diagrams += 1 + len(v.z) + len(v.components)
-            written = list(zip(v.z, zclasses))
+            written = list(zip(v.z, v.z_classes))
             if v.components is not v.z:
-                written += zip(v.components, classes)
+                written += zip(v.components, v.classes)
             for text in [to_canonical_text(kac)] + [_finite_canonical(d, k) for d, k in written]:
                 back, back_classes = _read(text)
                 if (to_canonical_text(back) if back_classes is None

@@ -41,8 +41,8 @@ MUTANTS: Tuple[Mutant, ...] = (
            ("tests/test_engine.py",)),
     # The ambient pair (G, P_lambda) is written with the classes of Z.
     Mutant("type-a-component-given-z-classes", "engine.py",
-           "return v, zclasses, (classes,)",
-           "return v, zclasses, zclasses",
+           "z_classes=zclasses, classes=(classes,),",
+           "z_classes=zclasses, classes=zclasses,",
            ("tests/test_engine.py", "tests/test_cli.py")),
     # Affine canonical text tries the automorphisms of the greatest first
     # token instead of the least.
@@ -89,8 +89,8 @@ MUTANTS: Tuple[Mutant, ...] = (
            ("tests/test_render.py", "tests/test_verify.py")),
     # The ambient dimension of (G, P_lambda) is counted with Z's classes.
     Mutant("ambient-dimension-given-z-classes", "verify.py",
-           "parabolic_dimension(gp.diagram, gp.crossed, classes[0])",
-           "parabolic_dimension(gp.diagram, gp.crossed, zclasses[0])",
+           "parabolic_dimension(gp.diagram, gp.crossed, v.classes[0])",
+           "parabolic_dimension(gp.diagram, gp.crossed, v.z_classes[0])",
            ("tests/test_verify.py",)),
     # B_2^(1)'s node-0 bond points its arrow at node 0.
     Mutant("b2-node-zero-short-end-on-0", "affine.py",
@@ -131,8 +131,8 @@ MUTANTS: Tuple[Mutant, ...] = (
            ("tests/test_cli.py",)),
     # fold_consistency folds the ambient diagram with the classes of Z.
     Mutant("fold-consistency-given-z-classes", "engine.py",
-           "_fold(v.components[0], pair, classes)",
-           "_fold(v.components[0], pair, zclasses)",
+           "_fold(v.components[0], pair, v.classes[0])",
+           "_fold(v.components[0], pair, v.z_classes[0])",
            ("tests/test_engine.py", "tests/test_verify.py")),
     # Re-validation compares only the multiplicity of each bond, not its
     # short end, so B_n read as C_n passes.
@@ -185,6 +185,12 @@ MUTANTS: Tuple[Mutant, ...] = (
            "        return tuple(sorted(edges, key=Edge._values))  # the field tuple, read in C\n",
            "    try:\n        return tuple(dict.fromkeys(edges))\n",
            ("tests/test_diagrams.py",)),
+    # dim P(p) of a restricted-A_1 entry drops the centre of g_0, so the
+    # Hermitian PGL_2/PO_2 reads P^2.
+    Mutant("isotropy-dimension-drops-the-centre", "engine.py",
+           "- len(e.kac_white))",
+           "- 1)",
+           ("tests/test_engine.py",)),
 )
 
 

@@ -84,24 +84,26 @@ def test_twisted_rows_past_the_bound_fail_before_any_build(label, params, monkey
         lookup(label, params)
 
 
-# The rows that lookup gives at n = -1, 0, 1, 2 (m = 1 for two-parameter
-# families); every other such n is below its family's least.
-SMALL_N_ROWS = {("group-A", 1), ("group-A", 2), ("group-B", 2), ("AI", 1), ("AI", 2),
-                ("AI-even", 2), ("BII", 2), ("CII", 2), ("herm-CI", 2),
-                ("herm-DIII-odd", 2), ("herm-DIII-even", 2)}
+# The rows that lookup gives at n = -1, 0, 1, 2, 5, 9 (m = 1 for
+# two-parameter families); every other such n is below its family's least,
+# or outside group-E's 6..8, and m = 1 is below BI's and DI-even's least.
+SMALL_N_ROWS = ({("group-A", 1), ("group-A", 2), ("group-B", 2), ("AI", 1), ("AI", 2),
+                 ("AI-even", 2), ("BII", 2), ("CII", 2), ("herm-CI", 2),
+                 ("herm-DIII-odd", 2), ("herm-DIII-even", 2)}
+                | {(label, n) for label in list(_N_FAMILIES) + list(_NM_FAMILIES) for n in (5, 9)
+                   if label not in ("group-E", "BI", "DI-even")})
 
 
 @pytest.mark.parametrize("label", list(_N_FAMILIES) + list(_NM_FAMILIES))
 def test_small_n_gives_the_row_or_its_own_requirement(label):
-    for n in (-1, 0, 1, 2):
+    for n in (-1, 0, 1, 2, 5, 9):
         params = {"n": n} if label in _N_FAMILIES else {"n": n, "m": 1}
         if (label, n) in SMALL_N_ROWS:
             assert dict(lookup(label, params).params) == params, (label, n)
             continue
         with pytest.raises(ValueError) as err:
             lookup(label, params)
-        own = "is not a finite type" if label == "group-E" else f"{label} requires"
-        assert own in str(err.value) and "MAX_RANK" not in str(err.value), (label, n)
+        assert f"{label} requires" in str(err.value) and "MAX_RANK" not in str(err.value), (label, n)
 
 
 def test_bi_parameter_normalisation():
@@ -231,14 +233,6 @@ def test_white_counts_by_kind():
             assert len(e.kac_white) == 2
         else:
             assert len(e.kac_white) == 1
-
-
-def test_a1_rows_store_isotropy_dimension():
-    for e in enumerate_entries(10):
-        if e.restricted == RestrictedType("A", 1):
-            assert e.isotropy_proj_dim is not None and e.isotropy_proj_dim >= 1
-        elif e.restricted.rank >= 2 and e.restricted.is_type_a:
-            assert e.isotropy_proj_dim is None
 
 
 def test_eiv_carries_paper_gap_note():

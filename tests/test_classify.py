@@ -9,7 +9,7 @@ return exactly its (type, mapping) tuples, ties by node id included, and
 raise `UnrecognizedDiagram` exactly where it does, and `components()`
 must give the same sorted tuples in the same order.  The diagrams: every
 type to rank 40 under random relabellings, random disjoint unions of them,
-every Z and VMRT diagram of `engine._vmrt` to rank 30 and those texts read
+every Z and VMRT diagram of `engine.vmrt` to rank 30 and those texts read
 back, and one-edit perturbations of all of these.
 """
 
@@ -20,7 +20,7 @@ import pytest
 from kacvmrt import diagrams
 from kacvmrt.atlas import enumerate_entries
 from kacvmrt.diagrams import DynkinDiagram, Edge, UnrecognizedDiagram, classify, standard_diagram
-from kacvmrt.engine import _vmrt
+from kacvmrt.engine import vmrt
 from kacvmrt.render import parse, to_canonical_text
 from kacvmrt.roots import CartanType
 from root_oracles import classify_reference, components_reference
@@ -95,10 +95,10 @@ def _one_edits(d, rng, k):
 
 @pytest.fixture(scope="module")
 def zv_diagrams():
-    """Every Z and VMRT diagram of _vmrt to rank 30, marked."""
+    """Every Z and VMRT diagram of vmrt to rank 30, marked."""
     out = []
     for e in enumerate_entries(30):
-        v, _, _ = _vmrt(e)
+        v = vmrt(e)
         out += v.z if v.components is v.z else v.z + v.components
     return out
 

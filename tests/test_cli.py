@@ -290,6 +290,9 @@ FRESH_MODULES = {
     "kac canonical": (_main("kac", "AI", "--n", "3", "--format", "canonical"), _CLI | {"atlas", "recognition"}),
     "list": (_main("list", "--max-rank", "4"), _CLI | {"atlas"}),
     "vmrt canonical": (_main("vmrt", "herm-CI", "--n", "4", "--format", "canonical"), _CLI | {"atlas", "engine"}),
+    "zorbit": (_main("zorbit", "herm-CI", "--n", "4"), _CLI | {"atlas", "engine", "presentation"}),
+    "verify": (_main("verify", "--max-rank", "2"),
+               _CLI | {"atlas", "engine", "folding", "parsing", "recognition", "verify"}),
 }
 
 

@@ -129,6 +129,20 @@ class TestVMRT:
         assert v.kind == "full-projective-space"
         assert (v.identification, v.dimension) == ("P^6", 6)
 
+    def test_restricted_a1_vmrt_is_all_of_p_to_rank_30(self):
+        # vmrt reads dim P(p) off the Kac grading; it meets the closed form
+        # of each restricted-A_1 row: PGL_2 x PGL_2 / PGL_2, PGL_2/PO_2,
+        # SO_{2n+1}/O_{2n} and SO_{2n}/O_{2n-1}.
+        want = {"group-A": lambda n: 2, "herm-AI": lambda n: 1,
+                "BII": lambda n: 2 * n - 1, "DII": lambda n: 2 * n - 2}
+        seen = set()
+        for e in enumerate_entries(30):
+            if e.restricted.is_type_a and e.restricted.rank == 1:
+                v, k = vmrt(e), want[e.label](dict(e.params).get("n"))
+                assert (v.kind, v.dimension, v.identification) == ("full-projective-space", k, f"P^{k}"), e.name
+                seen.add(e.label)
+        assert seen == set(want)
+
     def test_dimension_identity_samples(self):
         for label, params in [("group-D", {"n": 5}), ("EI", {}), ("CII", {"n": 5, "m": 2}),
                               ("herm-DIII-odd", {"n": 3}), ("AI-even", {"n": 3}),
@@ -178,15 +192,15 @@ class TestVMRT:
                     assert seen.count(frozenset(z.diagram.nodes) - left) == 0, e.name
 
     def test_vmrt_hands_over_a_classification_of_each_diagram(self):
-        # The classes _vmrt returns beside each Z and VMRT diagram classify
+        # The classes vmrt carries beside each Z and VMRT diagram classify
         # it: one (type, Bourbaki indices) per component, carrying its edges
         # onto the type's.  Written from them, the canonical text is that of
         # a fresh classify.
         kinds, sigma = set(), 0
         for e in enumerate_entries(30):
-            v, zclasses, classes = engine._vmrt(e)
+            v = vmrt(e)
             kinds.add(v.kind)
-            for ds, cs in ((v.z, zclasses), (v.components, classes)):
+            for ds, cs in ((v.z, v.z_classes), (v.components, v.classes)):
                 assert len(ds) == len(cs), e.name
                 for d, k in zip(ds, cs):
                     comps = sorted(sorted(c) for c in d.diagram.components())
@@ -276,16 +290,16 @@ class TestFolding:
         for e in enumerate_entries(20):
             if not (e.restricted.is_type_a and e.restricted.rank >= 2 and e.label != "AI-even"):
                 continue
-            v, (zclasses,), (classes,) = engine._vmrt(e)
+            v = vmrt(e)
             ambient = v.components[0]
-            out, out_classes = _fold(ambient, entry_folding_pair(e), classes)
+            out, out_classes = _fold(ambient, entry_folding_pair(e), v.classes[0])
             assert out == fold(ambient, entry_folding_pair(e)), e.name
             for t, mapping in out_classes:
                 inv = {i: x for x, i in mapping.items()}
                 ids = [inv[i] for i in range(1, t.rank + 1)]
                 assert standard_diagram(t, ids) == out.diagram.restrict(mapping), e.name
             assert sorted(x for _, mapping in out_classes for x in mapping) == list(out.diagram.nodes)
-            assert fold_consistency(e, v, classes, zclasses), e.name
+            assert fold_consistency(e, v), e.name
             folded += 1
         assert folded > 20
 
@@ -309,18 +323,18 @@ class TestContact:
             contact_grading_check(lookup("FII"))
 
     def test_z_classes_give_the_same_grading(self):
-        # verify hands vmrt's Z classes to the contact check; the grading
-        # and the verdict are those of a fresh classify.
+        # The contact check grades Z with vmrt's Z classes; the grading and
+        # the verdict are those of a fresh classify.
         groups = 0
         for e in enumerate_entries(30):
             if e.kind != "group":
                 continue
             groups += 1
-            v, zclasses, _ = engine._vmrt(e)
-            (z,), (zc,) = v.z, zclasses
+            v = vmrt(e)
+            (z,), (zc,) = v.z, v.z_classes
             dims = graded_dimensions(z.diagram, z.crossed)
             assert graded_dimensions(z.diagram, z.crossed, zc) == dims, e.name
-            assert contact_grading_check(e, v, zc) == (max(dims) == 2 and dims[2] == 1), e.name
+            assert contact_grading_check(e, v) == (max(dims) == 2 and dims[2] == 1), e.name
         assert groups > 0
 
 
@@ -331,8 +345,8 @@ def test_z_classes_give_the_same_orbit_isomorphism():
     for e in enumerate_entries(30):
         if e.kind != "hermitian-exceptional":
             continue
-        v, zclasses, _ = engine._vmrt(e)
-        iso = find_marked_isomorphism(*v.z, *zclasses)
+        v = vmrt(e)
+        iso = find_marked_isomorphism(*v.z, *v.z_classes)
         assert iso is not None and iso == find_marked_isomorphism(*v.z), e.name
         found += 1
     assert found > 0

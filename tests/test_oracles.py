@@ -54,7 +54,7 @@ from kacvmrt.diagrams import (  # noqa: E402
     parabolic_dimension,
     standard_diagram,
 )
-from kacvmrt.engine import _vmrt  # noqa: E402
+from kacvmrt.engine import vmrt  # noqa: E402
 from kacvmrt.parsing import _Parser, _read_kac_text  # noqa: E402
 from kacvmrt.recognition import affine_automorphisms, affine_candidates, recognize_affine  # noqa: E402
 from kacvmrt.render import (  # noqa: E402
@@ -630,8 +630,8 @@ def test_finite_templates_match_the_spine_walk_on_z_and_vmrt_diagrams_to_rank_30
     # Written from vmrt's own classes, against a fresh classify.
     sigma = 0
     for e in enumerate_entries(30):
-        v, zclasses, classes = _vmrt(e)
-        for d, k in zip(v.z + v.components, zclasses + classes):
+        v = vmrt(e)
+        for d, k in zip(v.z + v.components, v.z_classes + v.classes):
             assert _finite_canonical(d, k) == _finite_canonical_oracle(d), e.name
             sigma += d.sigma_pairs is not None
     assert sigma

@@ -14,7 +14,7 @@ from kacvmrt.diagrams import (
     marked,
     standard_marked,
 )
-from kacvmrt.engine import _vmrt, vmrt, z_orbit_diagram
+from kacvmrt.engine import vmrt, z_orbit_diagram
 from kacvmrt.parsing import _read, read
 from kacvmrt.presentation import to_ascii, to_dot, to_latex
 from kacvmrt.recognition import recognize_affine
@@ -206,10 +206,10 @@ def test_reader_hands_its_classes_to_the_writer():
     texts = set()
     for e in enumerate_entries(30):
         kac = e.kac_diagram()
-        v, zclasses, classes = _vmrt(e)
+        v = vmrt(e)
         texts.add(to_canonical_text(kac))
         texts.add(to_canonical_text(kac.diagram))
-        texts.update(_finite_canonical(d, k) for d, k in zip(v.z + v.components, zclasses + classes))
+        texts.update(_finite_canonical(d, k) for d, k in zip(v.z + v.components, v.z_classes + v.classes))
     finite = sigma = 0
     for text in sorted(texts):
         back, classes = _read(text)

@@ -44,7 +44,7 @@ def test_run_all_text_is_pinned():
 
 def test_run_all_computes_each_entry_once(monkeypatch):
     walks, vmrt_args, direct_z = [], [], []
-    real_enumerate, real_vmrt = verify.enumerate_entries, verify._vmrt
+    real_enumerate, real_vmrt = verify.enumerate_entries, verify.vmrt
 
     def enumerate_entries(max_rank):
         found = real_enumerate(max_rank)
@@ -56,7 +56,7 @@ def test_run_all_computes_each_entry_once(monkeypatch):
         return real_vmrt(e)
 
     monkeypatch.setattr(verify, "enumerate_entries", enumerate_entries)
-    monkeypatch.setattr(verify, "_vmrt", vmrt)
+    monkeypatch.setattr(verify, "vmrt", vmrt)
     monkeypatch.setattr(verify, "z_orbit_diagram",
                         lambda *a: direct_z.append(a) or engine.z_orbit_diagram(*a),
                         raising=False)
@@ -93,7 +93,7 @@ def test_kac_markings_reports_a_broken_marking(monkeypatch):
     label_two = next(v for v in d.nodes if d.label(v) == 2)
     broken = SymmetricSpaceEntry(e.label, e.params, e.kind, e.g_desc, e.h_desc, e.kac_base,
                                  e.kac_twist, (label_two,), e.restricted, e.boundary_degree,
-                                 e.isotropy_proj_dim, e.notes)
+                                 e.notes)
     monkeypatch.setattr(verify, "enumerate_entries", lambda max_rank: [e, broken])
     (row,) = check_kac_markings(12)
     assert (row.status, row.detail) == ("FAIL", broken.name)
@@ -123,14 +123,14 @@ def test_run_all_computes_one_vmrt_per_entry(monkeypatch, max_rank):
     # they name from the pass; those above max_rank they compute once.  The
     # contact gradations read Z from the pass's VMRTs.
     names, z_calls = [], []
-    real_vmrt, real_z = engine._vmrt, engine._z_orbit
+    real_vmrt, real_z = engine.vmrt, engine._z_orbit
 
     def vmrt(e):
         names.append(e.name)
         return real_vmrt(e)
 
-    monkeypatch.setattr(verify, "_vmrt", vmrt)
-    monkeypatch.setattr(engine, "_vmrt", vmrt)
+    monkeypatch.setattr(verify, "vmrt", vmrt)
+    monkeypatch.setattr(engine, "vmrt", vmrt)
     monkeypatch.setattr(engine, "_z_orbit", lambda *a: z_calls.append(a) or real_z(*a))
     run_all(max_rank)
     assert len(names) == len(set(names))
