@@ -381,16 +381,17 @@ class MarkedDynkinDiagram(Record):
     def __init__(
         self,
         diagram: DynkinDiagram,
-        crossed: Iterable[int] = frozenset(),
+        crossed: Iterable[int] = (),
         annotations: Mapping[int, int] | Iterable[Tuple[int, int]] = (),
         sigma_pairs: Optional[Iterable[Tuple[int, int]]] = None,
     ) -> None:
-        crossed = frozenset(crossed)
+        cross = set(crossed)
+        crossed = tuple(sorted(cross))  # canonical, and smaller than a frozenset
         ann = dict(annotations)
         nodes = set(diagram.nodes)
-        if not crossed <= nodes:
+        if not nodes.issuperset(cross):
             raise ValueError("crossed nodes must lie in the diagram")
-        if not set(ann) <= crossed:
+        if not cross.issuperset(ann):
             raise ValueError("annotations only on crossed nodes")
         if any(v < 2 for v in ann.values()):
             raise ValueError("annotations are degrees >= 2")
@@ -407,7 +408,7 @@ class MarkedDynkinDiagram(Record):
             moved = _edge_tuple([_edge(to[e.a], to[e.b], e.mult, None if e.short is None else to[e.short])
                                  for e in diagram.edges if e.a in to and e.b in to])
             if moved != tuple([e for e in diagram.edges if e.a not in to or e.b not in to]) or any(
-                    (a in crossed) != (b in crossed) or ann.get(a) != ann.get(b) for a, b in sigma_pairs):
+                    (a in cross) != (b in cross) or ann.get(a) != ann.get(b) for a, b in sigma_pairs):
                 raise ValueError("sigma halves are not isomorphic under the pairing")
         self._set(diagram, crossed, tuple(sorted(ann.items())), sigma_pairs)
 
@@ -420,7 +421,7 @@ class MarkedDynkinDiagram(Record):
         keep_set = set(keep)
         return MarkedDynkinDiagram(
             self.diagram.restrict(keep_set),
-            self.crossed & keep_set,
+            [v for v in self.crossed if v in keep_set],
             tuple([(k, v) for k, v in self.annotations if k in keep_set]),
         )
 

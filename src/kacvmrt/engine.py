@@ -50,7 +50,7 @@ def _shift_marked(m: MarkedDynkinDiagram, offset: int) -> MarkedDynkinDiagram:
     )
     return marked(
         DynkinDiagram(nodes, edges),
-        frozenset(v + offset for v in m.crossed),
+        [v + offset for v in m.crossed],
         tuple([(k + offset, v) for k, v in m.annotations]),
     )
 
@@ -99,7 +99,7 @@ def _z_orbit(m: MarkedKacDiagram, kind: str) -> Tuple[Tuple[MarkedDynkinDiagram,
     h1s = _shift_marked(h1, offset)
     union = DynkinDiagram(finite.nodes + h1s.diagram.nodes, finite.edges + h1s.diagram.edges)
     pairs = tuple(sorted([(v, iso[v] + offset) for v in finite.nodes]))
-    z = marked(union, h0.crossed | h1s.crossed, h0.annotations + h1s.annotations, pairs)
+    z = marked(union, h0.crossed + h1s.crossed, h0.annotations + h1s.annotations, pairs)
     shifted = tuple([(t, {v + offset: i for v, i in mapping.items()}) for t, mapping in classes])
     return (z,), zdim, name, (classes + shifted,)
 

@@ -1,5 +1,11 @@
 """The reader of the canonical grammar, behind `render.parse`.
 
+`_tokenise` walks a text once, keeping its state in local variables: it
+numbers the nodes in text order, reads each bond with one compiled pattern
+at the current offset, and keeps open branches on a stack.  `_read` tries a
+canonical Kac text against its type's template first, and classifies what
+the tokeniser read otherwise.
+
 `render` imports this module on the first parse, so a process that only
 computes and renders diagrams (a `kacvmrt vmrt` query) never compiles it.
 Affine recognition is imported only where a Kac or affine text is read,
@@ -8,6 +14,7 @@ so reading finite text (`kacvmrt dim` and `fold`) never compiles it.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, Optional, Tuple
 
 from .affine import MAX_RANK, MarkedKacDiagram, affine_diagram
@@ -16,7 +23,6 @@ from .diagrams import (
     DynkinDiagram,
     Edge,
     UnrecognizedDiagram,
-    _edge,
     _mark_key,
     classify,
     find_marked_isomorphism,
@@ -25,140 +31,122 @@ from .diagrams import (
 from .render import _EDGE_TOKEN, Diagram, ParseError, _affine_canonical, _affine_template
 
 # The rendered bonds plus the arrowless double and triple bonds, which are
-# read only to be rejected with their offset; longest tokens are tried first.
+# read only to be rejected with their offset; the pattern tries the longest
+# tokens first.
 _EDGE_DECODE = {token: sig for sig, token in _EDGE_TOKEN.items()}
 _EDGE_DECODE.update({"=": (2, 0), "#": (3, 0)})
-_EDGE_ALTS = sorted(_EDGE_DECODE, key=len, reverse=True)
+_BOND = re.compile("|".join(map(re.escape, sorted(_EDGE_DECODE, key=len, reverse=True))))
 # ASCII digits only: str.isdigit() also takes superscripts and other
-# scripts' digits.  peek() gives "" at the end, which is no member.
+# scripts' digits.  A slice past the end gives "", which is no member.
 _DIGITS = frozenset("0123456789")
+_NODE_TOKENS = frozenset("oOx")
+
+Tokens = Tuple[int, List[Edge], List[int], List[int], Dict[int, int], bool]
 
 
-class _Parser:
-    """Reads nodes 0, 1, ... in text order, with their bonds and marks."""
+def _tokenise(s: str) -> Tokens:
+    """The node count of s, its bonds, white nodes, crossed nodes,
+    annotations and whether it ends in " ~sigma"; nodes are 0, 1, ... in
+    text order.
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.sigma = False
-        self.nodes: List[int] = []
-        self.edges: List[Edge] = []
-        self.white: List[int] = []
-        self.crossed: List[int] = []
-        self.ann: Dict[int, int] = {}
-
-    def add_node(self, token: str, ann: Optional[int]) -> int:
-        v = len(self.nodes)
-        self.nodes.append(v)
-        if token == "O":
-            self.white.append(v)
-        elif token == "x":
-            self.crossed.append(v)
-            if ann is not None:
-                self.ann[v] = ann
-        return v
-
-    def add_edge(self, u: int, v: int, mult: int, rel: int, pos: int) -> None:
-        """Add the bond written at offset pos; double and triple bonds
-        need their arrowhead."""
-        if mult in (2, 3) and rel == 0:
-            raise ParseError("a double or triple bond needs an arrowhead", pos)
-        short = None if rel == 0 else (v if rel == 1 else u)
-        self.edges.append(_edge(u, v, mult, short))
-
-    def error(self, msg: str) -> ParseError:
-        return ParseError(msg, self.pos)
-
-    def peek(self) -> str:
-        return self.text[self.pos:self.pos + 1]
-
-    def eat_node(self) -> int:
-        ch = self.peek()
-        if ch not in ("o", "O", "x"):
-            raise self.error("expected a node token o, O or x")
-        self.pos += 1
-        ann = None
-        if ch == "x" and self.peek() == "[":
-            self.pos += 1
-            start = self.pos
-            while self.peek() in _DIGITS:
-                self.pos += 1
-            if self.pos == start:
-                raise self.error("expected digits in annotation")
-            if self.peek() != "]":
-                raise self.error("expected ]")
-            try:
-                ann = int(self.text[start:self.pos])
-            except ValueError:  # more digits than int() converts
-                raise ParseError("annotation is too long", start) from None
-            self.pos += 1
-            if ann < 2:
-                raise ParseError("annotation must be >= 2", start)
-        return self.add_node(ch, ann)
-
-    def try_edge(self) -> Optional[Tuple[int, int]]:
-        for alt in _EDGE_ALTS:
-            if self.text.startswith(alt, self.pos):
-                self.pos += len(alt)
-                return _EDGE_DECODE[alt]
-        return None
-
-    def parse_chain(self) -> Tuple[int, int, int]:
-        """Parse node (branches)* (edge ...)*; returns the first and last
-        ids and the number of nodes on the chain, branches not counted.
-        A branch pushes the chain it hangs off and pops it at its ), so
-        nesting depth costs no recursion."""
-        first = last = self.eat_node()
-        length = 1
-        open_chains: List[Tuple[int, int, int]] = []
+    Each turn of the loop reads one node, bonds it to the node before it,
+    and then reads what follows: a branch, a bond, the ) closing a branch,
+    or the end of a component.  A branch pushes the chain it hangs off
+    (first and last node, and its length, branches not counted) and pops
+    it at its ), so nesting depth costs no recursion.  A bond always runs
+    from an earlier node to a later one."""
+    edges: List[Edge] = []
+    white: List[int] = []
+    crossed: List[int] = []
+    ann: Dict[int, int] = {}
+    if not s:
+        return 0, edges, white, crossed, ann, False
+    match, decode = _BOND.match, _EDGE_DECODE
+    chains: List[Tuple[int, int, int]] = []
+    bond: Optional[Tuple[int, int]] = None  # (mult, rel) before the next node; None starts a chain
+    n = at = 0  # at: where the current component starts
+    cycle = s.startswith("@")
+    pos = 1 if cycle else 0
+    while True:
+        ch = s[pos:pos + 1]
+        if ch not in _NODE_TOKENS:
+            raise ParseError("expected a node token o, O or x", pos)
+        pos += 1
+        if ch == "x":
+            crossed.append(n)
+            if s.startswith("[", pos):
+                pos += 1
+                start = pos
+                while s[pos:pos + 1] in _DIGITS:
+                    pos += 1
+                if pos == start:
+                    raise ParseError("expected digits in annotation", pos)
+                if not s.startswith("]", pos):
+                    raise ParseError("expected ]", pos)
+                try:
+                    k = int(s[start:pos])
+                except ValueError:  # more digits than int() converts
+                    raise ParseError("annotation is too long", start) from None
+                pos += 1
+                if k < 2:
+                    raise ParseError("annotation must be >= 2", start)
+                ann[n] = k
+        elif ch == "O":
+            white.append(n)
+        if bond is None:
+            first = last = n
+            length = 1
+        else:
+            mult, rel = bond
+            if rel == 0:
+                if mult in (2, 3):
+                    raise ParseError("a double or triple bond needs an arrowhead", bond_at)
+                edges.append(Edge(last, n, mult))
+            else:
+                edges.append(Edge(last, n, mult, n if rel == 1 else last))
+            last = n
+            length += 1
+        n += 1
         while True:
-            if self.peek() == "(":
-                self.pos += 1
-                open_chains.append((first, last, length))
-                first = last = self.eat_node()
-                length = 1
+            if s.startswith("(", pos):
+                pos += 1
+                chains.append((first, last, length))
+                bond = None
+                break
+            m = match(s, pos)
+            if m is not None:
+                bond = decode[m.group()]
+                bond_at = pos
+                pos = m.end()
+                break
+            if chains:
+                if not s.startswith(")", pos):
+                    raise ParseError("expected )", pos)
+                pos += 1
+                branch = first
+                first, last, length = chains.pop()
+                edges.append(Edge(last, branch))
                 continue
-            bond = self.pos
-            edge = self.try_edge()
-            if edge is not None:
-                mult, rel = edge
-                nxt = self.eat_node()
-                self.add_edge(last, nxt, mult, rel, bond)
-                last, length = nxt, length + 1
-                continue
-            if not open_chains:
-                return first, last, length
-            if self.peek() != ")":
-                raise self.error("expected )")
-            self.pos += 1
-            branch = first
-            first, last, length = open_chains.pop()
-            self.add_edge(last, branch, 1, 0, self.pos)
-
-    def parse(self) -> None:
-        if not self.text:
-            return
-        while True:
-            at = self.pos
-            is_cycle = self.peek() == "@"
-            if is_cycle:
-                self.pos += 1
-            first, last, length = self.parse_chain()
-            if is_cycle:
+            if cycle:
                 # Two nodes would close the cycle on their own bond again;
                 # affine A_1 is written o####o.
                 if length < 3:
                     raise ParseError("a cycle needs at least three nodes", at)
-                self.add_edge(last, first, 1, 0, self.pos)
-            if self.text.startswith(" + ", self.pos):
-                self.pos += 3
-                continue
+                edges.append(Edge(first, last))
+            if not s.startswith(" + ", pos):
+                sigma = s.startswith(" ~sigma", pos)
+                if sigma:
+                    pos += 7
+                if pos != len(s):
+                    raise ParseError("unexpected trailing input", pos)
+                return n, edges, white, crossed, ann, sigma
+            pos += 3
+            at = pos
+            cycle = s.startswith("@", pos)
+            if cycle:
+                pos += 1
+            bond = None
             break
-        if self.text.startswith(" ~sigma", self.pos):
-            self.pos += 7
-            self.sigma = True
-        if self.pos != len(self.text):
-            raise self.error("unexpected trailing input")
 
 
 # Deletes the bond, bracket and cycle characters of a text, leaving its
@@ -206,22 +194,21 @@ def _read(s: str) -> Tuple[Diagram, Optional[Classes]]:
         m = _read_kac_text(s)
         if m is not None:
             return m, None
-    p = _Parser(s)
-    p.parse()
-    d = DynkinDiagram(tuple(p.nodes), p.edges)
-    if not p.white:
+    n, edges, white, crossed, ann, sigma = _tokenise(s)
+    d = DynkinDiagram(range(n), edges)
+    if not white:
         try:
             classes = classify(d)
         except UnrecognizedDiagram:
             pass  # fall through to affine recognition
         else:
-            if not p.sigma:
-                return marked(d, p.crossed, p.ann), classes
+            if not sigma:
+                return marked(d, crossed, ann), classes
             if len(classes) % 2 != 0:
                 raise ParseError("sigma needs an even number of components", len(s))
             # Halve each class of marked-isomorphic components, in text order.
-            md = marked(d, p.crossed, p.ann)
-            mark = lambda v: (v in md.crossed, p.ann.get(v, 0))  # noqa: E731
+            md = marked(d, crossed, ann)
+            mark = lambda v: (v in md.crossed, ann.get(v, 0))  # noqa: E731
             groups: Dict[object, list] = {}
             for c in classes:
                 groups.setdefault(_mark_key(*c, mark), []).append(c)
@@ -230,10 +217,10 @@ def _read(s: str) -> Tuple[Diagram, Optional[Classes]]:
             left = [c for g in groups.values() for c in g[:len(g) // 2]]
             right = [c for g in groups.values() for c in g[len(g) // 2:]]
             iso = find_marked_isomorphism(md, md, left, right)
-            return marked(d, p.crossed, p.ann, sorted(iso.items())), classes
-    if p.crossed:
+            return marked(d, crossed, ann, sorted(iso.items())), classes
+    if crossed:
         raise ParseError("crossed nodes only occur in finite diagrams", len(s))
-    if len(p.nodes) > MAX_RANK + 1:
+    if n > MAX_RANK + 1:
         raise ParseError(f"an affine diagram has at most MAX_RANK + 1 = {MAX_RANK + 1} nodes", len(s))
     if len(d.components()) != 1:
         raise ParseError("an affine diagram is connected", len(s))
@@ -243,6 +230,6 @@ def _read(s: str) -> Tuple[Diagram, Optional[Classes]]:
     if hit is None:
         raise ParseError("not a recognised finite or affine diagram", len(s))
     a, iso = hit
-    if not p.white:
+    if not white:
         return a, None
-    return MarkedKacDiagram(a, frozenset([iso[w] for w in p.white])), None
+    return MarkedKacDiagram(a, frozenset([iso[w] for w in white])), None

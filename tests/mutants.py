@@ -79,13 +79,13 @@ MUTANTS: Tuple[Mutant, ...] = (
     # The reader hands over the classes of a finite text less its first
     # component.
     Mutant("read-drops-a-class", "parsing.py",
-           "return marked(d, p.crossed, p.ann), classes",
-           "return marked(d, p.crossed, p.ann), classes[1:]",
+           "return marked(d, crossed, ann), classes",
+           "return marked(d, crossed, ann), classes[1:]",
            ("tests/test_render.py", "tests/test_verify.py", "tests/test_cli.py")),
     # The reader hands over the classes of one half of a sigma text.
     Mutant("read-sigma-hands-one-half", "parsing.py",
-           "return marked(d, p.crossed, p.ann, sorted(iso.items())), classes",
-           "return marked(d, p.crossed, p.ann, sorted(iso.items())), left",
+           "return marked(d, crossed, ann, sorted(iso.items())), classes",
+           "return marked(d, crossed, ann, sorted(iso.items())), left",
            ("tests/test_render.py", "tests/test_verify.py")),
     # The ambient dimension of (G, P_lambda) is counted with Z's classes.
     Mutant("ambient-dimension-given-z-classes", "verify.py",
@@ -184,6 +184,23 @@ MUTANTS: Tuple[Mutant, ...] = (
            "    if not isinstance(edges, (set, frozenset)):\n        edges = set(edges)\n    try:\n"
            "        return tuple(sorted(edges, key=Edge._values))  # the field tuple, read in C\n",
            "    try:\n        return tuple(dict.fromkeys(edges))\n",
+           ("tests/test_diagrams.py",)),
+    # The tokeniser tries the shortest bond tokens first: # before #> and
+    # ####, = before =>.
+    Mutant("reader-shortest-bond-first", "parsing.py",
+           "sorted(_EDGE_DECODE, key=len, reverse=True)",
+           "sorted(_EDGE_DECODE, key=len)",
+           ("tests/test_render.py",)),
+    # The tokeniser takes the annotation x[1].
+    Mutant("reader-annotation-bound", "parsing.py",
+           "if k < 2:",
+           "if k < 1:",
+           ("tests/test_render.py",)),
+    # A marked diagram keeps its crossed nodes in the order of a set, so
+    # equal diagrams can differ.
+    Mutant("crossed-unsorted", "diagrams.py",
+           "crossed = tuple(sorted(cross))",
+           "crossed = tuple(cross)",
            ("tests/test_diagrams.py",)),
     # dim P(p) of a restricted-A_1 entry drops the centre of g_0, so the
     # Hermitian PGL_2/PO_2 reads P^2.

@@ -2,8 +2,9 @@
 them: root lengths, the highest short root, the -w0 diagram automorphism,
 the sign and support of a root, dim Z from a Z diagram alone, the affine
 Cartan matrix, the affine diagrams as derived from the highest root
-and transcribed edge by edge, and `classify` as it was before its
-components came from one breadth-first walk."""
+and transcribed edge by edge, `classify` as it was before its
+components came from one breadth-first walk, and the tokeniser as it was
+before it became one function over local variables."""
 
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -12,6 +13,7 @@ from kacvmrt.affine import AffineDiagram
 from kacvmrt.diagrams import (DynkinDiagram, Edge, MarkedDynkinDiagram, UnrecognizedDiagram, _cartan_type,
                               _edge_signature, parabolic_dimension, standard_diagram)
 from kacvmrt.recognition import _key
+from kacvmrt.render import _EDGE_TOKEN, ParseError
 from kacvmrt.roots import (CartanType, Root, SimpleEdge, _cartan_from_bonds, cartan_matrix, highest_root,
                            positive_roots, simple_edges)
 
@@ -86,7 +88,7 @@ def z_dimension(z: MarkedDynkinDiagram) -> int:
     """dim Z: positive roots over the crossed nodes, one sigma half only."""
     if z.sigma_pairs is not None:
         left = z.sigma_left_nodes()
-        return parabolic_dimension(z.diagram.restrict(left), z.crossed & left)
+        return parabolic_dimension(z.diagram.restrict(left), [v for v in z.crossed if v in left])
     return parabolic_dimension(z.diagram, z.crossed)
 
 
@@ -306,3 +308,131 @@ def classify_reference(d: DynkinDiagram) -> Tuple[Tuple[CartanType, Dict[int, in
         _reference_revalidate(t, mapping, comp, edges)
         out.append((t, mapping))
     return tuple(out)
+
+
+_READER_DECODE = {token: sig for sig, token in _EDGE_TOKEN.items()}
+_READER_DECODE.update({"=": (2, 0), "#": (3, 0)})
+_READER_ALTS = sorted(_READER_DECODE, key=len, reverse=True)
+_READER_DIGITS = frozenset("0123456789")
+
+
+class ReferenceReader:
+    """The tokeniser as it was before `parsing._tokenise`: a method call for
+    each node and each character of an annotation, and every bond token
+    tried with `startswith`, longest first, from its own bond table.  Reads
+    nodes 0, 1, ... in text order, with their bonds and marks."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.sigma = False
+        self.nodes: List[int] = []
+        self.edges: List[Edge] = []
+        self.white: List[int] = []
+        self.crossed: List[int] = []
+        self.ann: Dict[int, int] = {}
+
+    def add_node(self, token: str, ann: Optional[int]) -> int:
+        v = len(self.nodes)
+        self.nodes.append(v)
+        if token == "O":
+            self.white.append(v)
+        elif token == "x":
+            self.crossed.append(v)
+            if ann is not None:
+                self.ann[v] = ann
+        return v
+
+    def add_edge(self, u: int, v: int, mult: int, rel: int, pos: int) -> None:
+        if mult in (2, 3) and rel == 0:
+            raise ParseError("a double or triple bond needs an arrowhead", pos)
+        short = None if rel == 0 else (v if rel == 1 else u)
+        self.edges.append(Edge(min(u, v), max(u, v), mult, short))
+
+    def error(self, msg: str) -> ParseError:
+        return ParseError(msg, self.pos)
+
+    def peek(self) -> str:
+        return self.text[self.pos:self.pos + 1]
+
+    def eat_node(self) -> int:
+        ch = self.peek()
+        if ch not in ("o", "O", "x"):
+            raise self.error("expected a node token o, O or x")
+        self.pos += 1
+        ann = None
+        if ch == "x" and self.peek() == "[":
+            self.pos += 1
+            start = self.pos
+            while self.peek() in _READER_DIGITS:
+                self.pos += 1
+            if self.pos == start:
+                raise self.error("expected digits in annotation")
+            if self.peek() != "]":
+                raise self.error("expected ]")
+            try:
+                ann = int(self.text[start:self.pos])
+            except ValueError:
+                raise ParseError("annotation is too long", start) from None
+            self.pos += 1
+            if ann < 2:
+                raise ParseError("annotation must be >= 2", start)
+        return self.add_node(ch, ann)
+
+    def try_edge(self) -> Optional[Tuple[int, int]]:
+        for alt in _READER_ALTS:
+            if self.text.startswith(alt, self.pos):
+                self.pos += len(alt)
+                return _READER_DECODE[alt]
+        return None
+
+    def parse_chain(self) -> Tuple[int, int, int]:
+        first = last = self.eat_node()
+        length = 1
+        open_chains: List[Tuple[int, int, int]] = []
+        while True:
+            if self.peek() == "(":
+                self.pos += 1
+                open_chains.append((first, last, length))
+                first = last = self.eat_node()
+                length = 1
+                continue
+            bond = self.pos
+            edge = self.try_edge()
+            if edge is not None:
+                mult, rel = edge
+                nxt = self.eat_node()
+                self.add_edge(last, nxt, mult, rel, bond)
+                last, length = nxt, length + 1
+                continue
+            if not open_chains:
+                return first, last, length
+            if self.peek() != ")":
+                raise self.error("expected )")
+            self.pos += 1
+            branch = first
+            first, last, length = open_chains.pop()
+            self.add_edge(last, branch, 1, 0, self.pos)
+
+    def parse(self) -> None:
+        if not self.text:
+            return
+        while True:
+            at = self.pos
+            is_cycle = self.peek() == "@"
+            if is_cycle:
+                self.pos += 1
+            first, last, length = self.parse_chain()
+            if is_cycle:
+                if length < 3:
+                    raise ParseError("a cycle needs at least three nodes", at)
+                self.add_edge(last, first, 1, 0, self.pos)
+            if self.text.startswith(" + ", self.pos):
+                self.pos += 3
+                continue
+            break
+        if self.text.startswith(" ~sigma", self.pos):
+            self.pos += 7
+            self.sigma = True
+        if self.pos != len(self.text):
+            raise self.error("unexpected trailing input")

@@ -306,6 +306,15 @@ class TestMarkedDiagram:
         m = marked(d, {1}, {1: 2})
         assert m.annotation_map == {1: 2}
 
+    def test_crossed_is_one_sorted_tuple(self):
+        # A set of 2, 9 and 16 iterates as 16, 9, 2.
+        d = standard_diagram(CartanType("A", 16))
+        m = marked(d, [9, 2, 16, 9])
+        assert m.crossed == (2, 9, 16)
+        assert m == marked(d, {16, 9, 2}) == marked(d, iter([16, 2, 9]))
+        assert hash(m) == hash(marked(d, frozenset([2, 16, 9])))
+        assert m.restrict(range(1, 10)).crossed == (2, 9)
+
     def test_marked_isomorphism_respects_annotations(self):
         m1 = standard_marked(CartanType("A", 3), {1}, {1: 2})
         m2 = standard_marked(CartanType("A", 3), {3}, {3: 2})

@@ -23,6 +23,9 @@ oracle tokenises the text and recognises the graph with
 `recognize_affine`, which must give the very same diagram and white set.
 A grammar fuzz holds `parse` to its contract: a `ParseError` with an
 offset inside the string, or a text that round-trips idempotently.
+`parsing._tokenise` reads every string of that fuzz, and every
+one-character edit of the canonical texts to rank 12, as the reader it
+replaced (`root_oracles.ReferenceReader`) reads it.
 The JSON of a Kac diagram fills the marks into a per-type text; the
 oracle builds the whole object and `json.dumps` it.
 """
@@ -55,7 +58,7 @@ from kacvmrt.diagrams import (  # noqa: E402
     standard_diagram,
 )
 from kacvmrt.engine import vmrt  # noqa: E402
-from kacvmrt.parsing import _Parser, _read_kac_text  # noqa: E402
+from kacvmrt.parsing import _read_kac_text, _tokenise  # noqa: E402
 from kacvmrt.recognition import affine_automorphisms, affine_candidates, recognize_affine  # noqa: E402
 from kacvmrt.render import (  # noqa: E402
     ParseError,
@@ -71,7 +74,7 @@ from kacvmrt.render import (  # noqa: E402
     to_json,
 )
 from kacvmrt.roots import CartanType, positive_roots  # noqa: E402
-from root_oracles import support  # noqa: E402
+from root_oracles import ReferenceReader, support  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None, derandomize=True)
 
@@ -547,7 +550,7 @@ def test_canonical_text_of_sigma_paired_diagrams(half, copies, data):
         part = _relabel_marked(half, shift)
         nodes += part.diagram.nodes
         edges |= set(part.diagram.edges)
-        crossed |= part.crossed
+        crossed.update(part.crossed)
         ann.update(part.annotations)
         if c < copies:
             pairs += [(shift[v], v + 1000 * (c + copies)) for v in half.diagram.nodes]
@@ -667,13 +670,12 @@ def test_affine_diagram_equality_ignores_edge_order(shape, data):
 def _tokenised(text):
     """The Kac diagram that the tokeniser and `recognize_affine` read from
     text, or None if the graph is no affine diagram."""
-    p = _Parser(text)
-    p.parse()
-    hit = recognize_affine(DynkinDiagram(tuple(p.nodes), frozenset(p.edges)))
+    n, edges, white, _, _, _ = _tokenise(text)
+    hit = recognize_affine(DynkinDiagram(range(n), edges))
     if hit is None:
         return None
     a, iso = hit
-    return MarkedKacDiagram(a, [iso[w] for w in p.white])
+    return MarkedKacDiagram(a, [iso[w] for w in white])
 
 
 def _assert_template_read(text):
@@ -757,6 +759,7 @@ _BRANCH = st.one_of(st.just(""), _chain(st.just("")).map(lambda c: f"({c})"))
 _COMPONENT = st.tuples(st.sampled_from(["", "", "@"]), _chain(_BRANCH)).map("".join)
 _TEXTS = st.tuples(st.lists(_COMPONENT, min_size=1, max_size=3).map(" + ".join),
                    st.sampled_from(["", "", " ~sigma"])).map("".join)
+_RAW_TEXTS = st.text(alphabet="oO-=<>#()@", max_size=40)
 
 FUZZ = settings(max_examples=300, deadline=1000, database=None, derandomize=True)
 
@@ -778,6 +781,58 @@ def test_parse_is_total_on_the_grammar(s):
 
 
 @FUZZ
-@given(st.text(alphabet="oO-=<>#()@", max_size=40))
+@given(_RAW_TEXTS)
 def test_parse_is_total_on_raw_strings(s):
     _assert_total(s)
+
+
+# ---------------------------------------------------------------------------
+# The tokeniser against the reader it replaced: the same node count, bonds
+# in the same order, white and crossed nodes, annotations and sigma flag,
+# or the same ParseError message at the same offset.
+
+
+def _tokens(s):
+    try:
+        return _tokenise(s)
+    except ParseError as ex:
+        return str(ex), ex.position
+
+
+def _reference_tokens(s):
+    p = ReferenceReader(s)
+    try:
+        p.parse()
+    except ParseError as ex:
+        return str(ex), ex.position
+    return len(p.nodes), p.edges, p.white, p.crossed, p.ann, p.sigma
+
+
+@FUZZ
+@given(_TEXTS)
+def test_tokeniser_matches_the_reference_on_the_grammar(s):
+    assert _tokens(s) == _reference_tokens(s)
+
+
+@FUZZ
+@given(_RAW_TEXTS)
+def test_tokeniser_matches_the_reference_on_raw_strings(s):
+    assert _tokens(s) == _reference_tokens(s)
+
+
+def test_tokeniser_matches_the_reference_on_one_character_edits():
+    # Every canonical Z, VMRT and Kac text to rank 12, each character
+    # deleted or replaced by each token character in turn.
+    texts = set()
+    for e in enumerate_entries(12):
+        v = vmrt(e)
+        texts.update(map(to_canonical_text, (e.kac_diagram(), *v.z, *v.components)))
+    edits = set(texts)
+    for t in texts:
+        for i in range(len(t)):
+            head, tail = t[:i], t[i + 1:]
+            edits.add(head + tail)
+            edits.update([head + c + tail for c in "oOx-=<>#()@[]0123 +~"])
+    assert len(texts) > 700 and len(edits) > 250_000
+    mismatched = [s for s in edits if _tokens(s) != _reference_tokens(s)]
+    assert not mismatched, sorted(mismatched)[:5]
